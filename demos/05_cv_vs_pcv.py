@@ -1,7 +1,7 @@
 """Plain cross-validation versus private cross-validation.
 
 CV scores the raw fit against held-out curves, so it rewards light smoothing.
-PCV scores Monte-Carlo draws of the *sanitized* fit, so the noise cost of a
+PCV scores the expected error of the *sanitized* fit, so the noise cost of a
 small penalty enters the selection and pushes it toward heavier smoothing;
 that extra smoothing is what buys back utility in the released curve.
 """
@@ -33,11 +33,10 @@ phis = (1e-4, 1e-3, 1e-2, 1e-1)
 print(f"{'phi':>8s} {'cv score':>12s} {'pcv score':>12s}")
 for phi in phis:
     cv = cv_score(data, spec, phi, folds=10, fold_seed=5)
-    pcv = pcv_score(data, spec, phi, 1.0, budget, folds=10, mc_draws=200, seed=5)
+    pcv = pcv_score(data, spec, phi, 1.0, budget, folds=10, seed=5)
     print(f"{phi:8.0e} {cv:12.5f} {pcv:12.5f}")
 
-grid_sel = SelectionGrid(phi_values=phis, rho_values=(0.001,),
-                         folds=10, mc_draws=200)
+grid_sel = SelectionGrid(phi_values=phis, rho_values=(0.001,), folds=10)
 phi_pcv, rho_pcv = pcv_select(data, "gaussian", grid_sel, 1.0, budget, seed=5)
 print(f"\npcv picks phi = {phi_pcv}, rho = {rho_pcv}")
 print("cv barely distinguishes the penalties (the held-out curves' own")

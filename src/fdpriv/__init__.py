@@ -38,6 +38,7 @@ from .mechanism import (
     derivative,
     dp_audit,
     l2_norm,
+    noise_energy,
     postprocess,
     release_function,
     release_projections,
@@ -122,6 +123,7 @@ __all__ = [
     "kl_simulate",
     "l2_norm",
     "make_rng",
+    "noise_energy",
     "noise_scale",
     "pcv_score",
     "pcv_select",

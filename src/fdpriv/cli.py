@@ -25,8 +25,7 @@ from .io import (
     write_meta,
 )
 from .kernels import Curve, KERNEL_FAMILIES, KernelSpec, uniform_grid
-from .mechanism import dp_audit, release_function, release_projections
-from .rng import derive_seed, make_rng
+from .mechanism import dp_audit, noise_energy, release_function, release_projections
 from .selection import SelectionGrid, cv_score, pcv_select
 from .simulate import SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
@@ -226,7 +225,7 @@ def cmd_cv(args) -> None:
 def cmd_pcv(args) -> None:
     data = _load_sample(args)
     grid = SelectionGrid(tuple(sorted(args.phi_grid)), tuple(sorted(args.rho_grid)),
-                         args.folds, args.draws)
+                         args.folds)
     budget = PrivacyBudget(args.epsilon, args.delta)
     phi_star, rho_star = pcv_select(
         data, args.kernel, grid, args.eta, budget, args.seed,
@@ -239,7 +238,6 @@ def cmd_pcv(args) -> None:
         "epsilon": budget.epsilon,
         "delta": budget.delta,
         "folds": grid.folds,
-        "mc_draws": grid.mc_draws,
         "n": data.n,
         "phi_values": ",".join(format_float(v) for v in grid.phi_values),
         "rho_values": ",".join(format_float(v) for v in grid.rho_values),
@@ -276,14 +274,8 @@ def _sweep_point(parameter, value, args):
     calib = calibrate(basis, pack["phi"], pack["eta"], data.tau, data.n, budget,
                       args.method)
     err_smooth = float(np.sum(grid.weights * (mu_hat.values - mu.values) ** 2))
-    xi = make_rng(derive_seed(args.seed, "sweep", parameter, value)).standard_normal(
-        (args.draws, basis.m)
-    )
-    noise = np.sqrt(calib.sigma_sq) * np.sqrt(basis.eigenvalues) * xi
-    err_noise = float(np.sum(noise**2, axis=1).mean())
-    cross = coefficients(Curve(mu_hat.values - mu.values, grid), basis)
-    per_draw = err_smooth + 2.0 * noise @ cross + np.sum(noise**2, axis=1)
-    return err_smooth, err_noise, float(per_draw.mean())
+    err_noise = noise_energy(basis, calib.sigma_sq)
+    return err_smooth, err_noise, err_smooth + err_noise
 
 
 def cmd_sweep(args) -> None:
@@ -313,7 +305,6 @@ def cmd_sweep(args) -> None:
         "grid_points": args.grid_points,
         "score_halfwidth": args.score_halfwidth,
         "method": args.method,
-        "draws": args.draws,
         "tol": args.tol,
         "seed": args.seed,
     })
@@ -403,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", type=_float_list, required=True,
                    help="comma-separated candidate range parameters")
     p.add_argument("--folds", type=int, default=10, help="CV folds (default 10)")
-    p.add_argument("--draws", type=int, default=1000,
-                   help="sanitized draws per cell (default 1000)")
     p.add_argument("--calibrate-on-full-n", action="store_true",
                    help="calibrate fold noise with the full sample size and tau")
     _add_common(p)
@@ -429,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="exact_spectral",
                    choices=("exact_spectral", "closed_form"),
                    help="sensitivity bound to calibrate with")
-    p.add_argument("--draws", type=int, default=200,
-                   help="Monte-Carlo draws per swept value (default 200)")
     _add_common(p)
     p.set_defaults(handler=cmd_sweep)
 

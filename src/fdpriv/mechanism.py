@@ -96,6 +96,19 @@ def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     return Curve(basis.matrix @ coeffs, basis.grid)
 
 
+def noise_energy(basis: SpectralBasis, sigma_sq: float) -> float:
+    """Expected squared L2 norm sigma_sq * sum_j lambda_j of one noise draw.
+
+    The draw's coefficients in the orthonormal basis have variances
+    sigma_sq * lambda_j, and its mean is zero, so this is also exactly what a
+    release adds in expectation to the squared L2 distance between its
+    estimate and any fixed curve.
+    """
+    if sigma_sq < 0.0:
+        raise ValueError("sigma_sq must be non-negative")
+    return sigma_sq * float(np.sum(basis.eigenvalues))
+
+
 def _release_meta(
     basis: SpectralBasis, calib: CalibrationResult, seed: int, timestamp: str
 ) -> ReleaseMeta:
@@ -199,26 +212,26 @@ def density_log_ratio(
     theta_dp: Curve,
     basis: SpectralBasis,
     sigma_sq: float,
-    eta: float = 1.0,
 ) -> float:
     """Log density ratio at x between releases centered at theta_d and theta_dp.
 
     In coefficients:  -(1/(2 sigma_sq)) * (|theta_d|^2 - |theta_dp|^2
-    - 2 (T_d - T_dp)(x))  with T_theta(x) = sum_j theta_j x_j / lambda_j^eta
-    and the norms taken in the same Cameron-Martin geometry.
+    - 2 (T_d - T_dp)(x))  with T_theta(x) = sum_j theta_j x_j / lambda_j
+    and the norms taken in the Cameron-Martin geometry of the noise, whose
+    covariance is sigma_sq times the basis covariance.
     """
     if sigma_sq <= 0.0:
         raise ValueError("sigma_sq must be positive")
     for name, theta in (("theta_d", theta_d), ("theta_dp", theta_dp)):
-        if not compatibility_check(theta, basis, eta=eta).compatible:
+        if not compatibility_check(theta, basis).compatible:
             raise PrivacyRefusalError(f"{name} is incompatible with the noise basis")
-    lam_eta = basis.eigenvalues**eta
+    lam = basis.eigenvalues
     cd = coefficients(theta_d, basis)
     cdp = coefficients(theta_dp, basis)
     cx = coefficients(x, basis)
-    norm_d = float(np.sum(cd**2 / lam_eta))
-    norm_dp = float(np.sum(cdp**2 / lam_eta))
-    t_diff = float(np.sum((cd - cdp) * cx / lam_eta))
+    norm_d = float(np.sum(cd**2 / lam))
+    norm_dp = float(np.sum(cdp**2 / lam))
+    t_diff = float(np.sum((cd - cdp) * cx / lam))
     return -(norm_d - norm_dp - 2.0 * t_diff) / (2.0 * sigma_sq)
 
 

@@ -3,8 +3,8 @@ that scores the sanitized estimate instead of the raw one.
 
 Plain CV always favors the smallest penalty (least shrinkage fits held-out
 data best), but a small penalty forces a large noise variance.  Private CV
-replaces each training fit by Monte-Carlo draws of its sanitized release and
-scores those, so the noise cost enters the selection.
+scores the expected error of each training fit's sanitized release instead,
+so the noise cost enters the selection.
 """
 
 from __future__ import annotations
@@ -15,20 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PrivacyBudget, calibrate
-from .kernels import Curve, KernelSpec
-from .rng import derive_seed, make_rng
+from .kernels import KernelSpec
+from .mechanism import noise_energy
+from .rng import make_rng
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
-from .spectral import DEFAULT_TRUNCATION_TOL, SpectralBasis, coefficients, kernel_basis
+from .spectral import DEFAULT_TRUNCATION_TOL, SpectralBasis, kernel_basis
 
 
 @dataclass(frozen=True)
 class SelectionGrid:
-    """Penalty and range-parameter grids plus fold/draw counts for a search."""
+    """Penalty and range-parameter grids plus the fold count for a search."""
 
     phi_values: tuple[float, ...]
     rho_values: tuple[float, ...]
     folds: int = 10
-    mc_draws: int = 1000
 
     def __post_init__(self):
         phi = tuple(float(v) for v in self.phi_values)
@@ -42,8 +42,6 @@ class SelectionGrid:
                 raise ValueError(f"{name} grid must be strictly increasing")
         if self.folds < 2:
             raise ValueError("need at least two folds")
-        if self.mc_draws < 1:
-            raise ValueError("need at least one Monte-Carlo draw")
         object.__setattr__(self, "phi_values", phi)
         object.__setattr__(self, "rho_values", rho)
 
@@ -65,12 +63,12 @@ def _fold_fit_error(
     train_idx: np.ndarray,
     held_idx: np.ndarray,
 ):
-    """Fit on the training rows; return (fit, mean squared L2 error on held rows)."""
-    train = SampleSet.from_values(data.values[train_idx], data.grid)
+    """Fit on the training rows; return (training set, mean squared L2 error on held rows)."""
+    train = SampleSet(data.values[train_idx], data.grid)
     fit = penalized_mean(train, basis, cfg)
     diffs = fit.values[None, :] - data.values[held_idx]
     errors = (diffs**2) @ data.grid.weights
-    return train, fit, float(errors.mean())
+    return train, float(errors.mean())
 
 
 def cv_score(
@@ -93,7 +91,7 @@ def cv_score(
     total = 0.0
     for k, held_idx in enumerate(parts):
         train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
-        _, _, err = _fold_fit_error(data, basis, cfg, train_idx, held_idx)
+        _, err = _fold_fit_error(data, basis, cfg, train_idx, held_idx)
         total += err
     return total / len(parts)
 
@@ -131,43 +129,32 @@ def pcv_score(
     eta: float,
     budget: PrivacyBudget,
     folds: int = 10,
-    mc_draws: int = 1000,
     seed: int = 0,
     calibrate_on_full_n: bool = False,
     tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> float:
-    """Private CV score: each fold's fit is replaced by sanitized draws of it.
+    """Private CV score: the expected error of each fold's sanitized fit.
 
-    The noise variance is calibrated per training complement (its sample size
-    and realized tau), matching what an analyst fitting on those curves would
-    have to add; calibrate_on_full_n switches to calibrating with the full
-    sample size and tau instead.  Draws are keyed by (seed, fold, phi, rho)
-    so a grid search is reproducible and independent of search order.
+    Per fold, E||fit + Z - X||^2 averaged over the held-out curves X equals
+    the plain CV error plus the noise energy sigma_sq * sum_j lambda_j,
+    exactly, since the noise Z is mean-zero.  The noise variance is
+    calibrated per training complement (its sample size and realized tau),
+    matching what an analyst fitting on those curves would have to add;
+    calibrate_on_full_n switches to calibrating with the full sample size and
+    tau instead.  seed fixes the folds.
     """
-    if mc_draws < 1:
-        raise ValueError("need at least one Monte-Carlo draw")
     basis = kernel_basis(spec, data.grid, tol)
     cfg = SmootherConfig(phi, eta)
     parts = fold_partition(data.n, folds, seed)
-    sqrt_lam = np.sqrt(basis.eigenvalues)
     total = 0.0
     for k, held_idx in enumerate(parts):
         train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
-        train, fit, base_err = _fold_fit_error(data, basis, cfg, train_idx, held_idx)
+        train, base_err = _fold_fit_error(data, basis, cfg, train_idx, held_idx)
         if calibrate_on_full_n:
             calib = calibrate(basis, phi, eta, data.tau, data.n, budget)
         else:
             calib = calibrate(basis, phi, eta, train.tau, train.n, budget)
-        noise_seed = derive_seed(seed, "pcv-noise", k, float(phi), spec.rho)
-        xi = make_rng(noise_seed).standard_normal((mc_draws, basis.m))
-        noise = math.sqrt(calib.sigma_sq) * sqrt_lam * xi
-        # || fit + z - X ||^2 averaged over held-out X and draws, expanded so the
-        # cross term uses the coefficients of (fit - held-out mean); exact since
-        # the noise lies in the basis span.
-        held_mean = data.values[held_idx].mean(axis=0)
-        cross = coefficients(Curve(fit.values - held_mean, data.grid), basis)
-        per_draw = 2.0 * noise @ cross + np.sum(noise**2, axis=1)
-        total += base_err + float(per_draw.mean())
+        total += base_err + noise_energy(basis, calib.sigma_sq)
     return total / len(parts)
 
 
@@ -195,7 +182,6 @@ def pcv_select(
                 eta,
                 budget,
                 grid.folds,
-                grid.mc_draws,
                 seed,
                 calibrate_on_full_n,
                 tol,

@@ -76,4 +76,4 @@ def kl_simulate(cfg: SimConfig, basis: SpectralBasis) -> SampleSet:
     scores = make_rng(cfg.seed).uniform(-w, w, size=(cfg.n, basis.m))
     decay = np.arange(1, basis.m + 1, dtype=float) ** (-cfg.p / 2.0)
     values = mu.values + (scores * decay) @ basis.matrix.T
-    return SampleSet.from_curves(Curve(row, grid) for row in values)
+    return SampleSet(values, grid)

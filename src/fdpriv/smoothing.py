@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import Curve, Grid, gram_matrix
 from .spectral import SpectralBasis, coefficients, reconstruct
@@ -37,61 +36,63 @@ class SmootherConfig:
 class SampleSet:
     """N curves on a common grid together with a bound tau on their L2 norms.
 
-    tau is the quantity sensitivity bounds scale with.  By default it is
-    recomputed from the data as the largest realized norm, which is itself
-    mildly disclosive; pass an explicit tau to bound the data a priori
+    The curves are held as one read-only (N, M) array of values on ``grid``.
+    tau is the quantity sensitivity bounds scale with.  By default (tau None)
+    it is recomputed from the data as the largest realized norm, which is
+    itself mildly disclosive; pass an explicit tau to bound the data a priori
     instead.
     """
 
-    curves: tuple[Curve, ...]
-    tau: float
+    values: np.ndarray
+    grid: Grid
+    tau: float | None = None
 
     def __post_init__(self):
-        if len(self.curves) == 0:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2:
+            raise ValueError("sample values must be an (N, M) array")
+        if values.shape[0] == 0:
             raise ValueError("sample set needs at least one curve")
-        grid = self.curves[0].grid
-        for c in self.curves:
-            if not c.grid.matches(grid):
-                raise ValueError("all curves must share one grid")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
+        if values.shape[1] != self.grid.size:
+            raise ValueError(
+                f"curves have {values.shape[1]} values for a {self.grid.size}-point grid"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("curve values must be finite")
+        norms = np.sqrt(np.sum(self.grid.weights * values**2, axis=1))
+        tau = float(norms.max()) if self.tau is None else float(self.tau)
+        if not (math.isfinite(tau) and tau >= 0.0):
             raise ValueError("tau must be a finite non-negative bound")
-        norms = [c.norm() for c in self.curves]
-        if max(norms) > self.tau:
+        if norms.max() > tau:
             raise ValueError("a curve exceeds the stated norm bound tau")
-        values = np.stack([c.values for c in self.curves])
         values.setflags(write=False)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def from_curves(cls, curves, tau: float | None = None) -> "SampleSet":
-        """Bundle curves, computing tau as the largest realized norm if absent."""
+        """Bundle curves sharing one grid, computing tau as the largest realized norm if absent."""
         curves = tuple(curves)
-        if tau is None:
-            if not curves:
-                raise ValueError("sample set needs at least one curve")
-            tau = max(c.norm() for c in curves)
-        return cls(curves, float(tau))
+        if not curves:
+            raise ValueError("sample set needs at least one curve")
+        grid = curves[0].grid
+        if not all(c.grid.matches(grid) for c in curves):
+            raise ValueError("all curves must share one grid")
+        return cls(np.stack([c.values for c in curves]), grid, tau)
 
     @classmethod
     def from_values(cls, values, grid: Grid, tau: float | None = None) -> "SampleSet":
-        """Bundle an (N, M) array of curve values on a grid."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[None, :]
-        return cls.from_curves((Curve(row, grid) for row in values), tau)
+        """Bundle an (N, M) array of curve values on a grid; a 1-D array is one curve."""
+        return cls(np.atleast_2d(values), grid, tau)
 
     @property
     def n(self) -> int:
-        return len(self.curves)
+        return self.values.shape[0]
 
     @property
-    def grid(self) -> Grid:
-        return self.curves[0].grid
-
-    @property
-    def values(self) -> np.ndarray:
-        """(N, M) matrix of curve values (read-only)."""
-        return self._values
+    def curves(self) -> tuple[Curve, ...]:
+        """The rows of ``values`` as curves, built on each access."""
+        return tuple(Curve(row, self.grid) for row in self.values)
 
 
 def shrinkage_factors(basis: SpectralBasis, cfg: SmootherConfig) -> np.ndarray:
@@ -139,7 +140,5 @@ def penalized_mean_direct(
         sym_eta = (evecs * evals**cfg.eta) @ evecs.T
     xbar = data.values.mean(axis=0)
     rhs = sym_eta @ (sqrt_w * xbar)
-    solution = scipy.linalg.solve(
-        sym_eta + cfg.phi * np.eye(grid.size), rhs, assume_a="pos"
-    )
+    solution = np.linalg.solve(sym_eta + cfg.phi * np.eye(grid.size), rhs)
     return Curve(solution / sqrt_w, grid)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import Curve, Grid, KernelSpec, gram_matrix
 
@@ -32,19 +31,20 @@ class DegenerateKernelError(ValueError):
 class SpectralBasis:
     """Retained eigenpairs of a discretized covariance operator.
 
-    eigenvalues are strictly positive and non-increasing; eigenfunctions are
-    curves orthonormal in the weighted L2 inner product.  Instances may come
-    from :func:`decompose` or be handcrafted for small experiments, in which
-    case ``spec`` is None.
+    eigenvalues are strictly positive and non-increasing; the columns of the
+    read-only (grid size, m) ``matrix`` are the eigenfunction values,
+    orthonormal in the weighted L2 inner product.  Instances may come from
+    :func:`decompose` or be handcrafted for small experiments through
+    :meth:`from_curves`, in which case ``spec`` is usually None.
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: tuple[Curve, ...]
+    matrix: np.ndarray
     grid: Grid
     spec: KernelSpec | None = None
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
+        lam = np.array(self.eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("need at least one eigenvalue")
         if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
@@ -53,19 +53,31 @@ class SpectralBasis:
             raise ValueError("eigenvalues must be non-increasing")
         if lam.size > self.grid.size:
             raise ValueError("more eigenpairs than grid points")
-        if len(self.eigenfunctions) != lam.size:
+        matrix = np.array(self.matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != lam.size:
             raise ValueError("eigenvalue/eigenfunction count mismatch")
-        matrix = np.column_stack([c.values for c in self.eigenfunctions])
-        for c in self.eigenfunctions:
-            if not c.grid.matches(self.grid):
-                raise ValueError("eigenfunctions must live on the basis grid")
+        if matrix.shape[0] != self.grid.size:
+            raise ValueError("eigenfunctions must live on the basis grid")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("eigenfunction values must be finite")
         overlap = matrix.T @ (self.grid.weights[:, None] * matrix)
         if np.max(np.abs(overlap - np.eye(lam.size))) > 1e-8:
             raise ValueError("eigenfunctions are not orthonormal under the grid weights")
         lam.setflags(write=False)
         matrix.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def from_curves(
+        cls, eigenvalues, curves, grid: Grid, spec: KernelSpec | None = None
+    ) -> "SpectralBasis":
+        """Handcrafted basis from eigenvalues and eigenfunction curves on ``grid``."""
+        curves = tuple(curves)
+        if not all(c.grid.matches(grid) for c in curves):
+            raise ValueError("eigenfunctions must live on the basis grid")
+        matrix = np.array([c.values for c in curves], dtype=float).T
+        return cls(eigenvalues, matrix, grid, spec)
 
     @property
     def m(self) -> int:
@@ -73,9 +85,9 @@ class SpectralBasis:
         return self.eigenvalues.size
 
     @property
-    def matrix(self) -> np.ndarray:
-        """(grid size, m) array whose columns are the eigenfunction values."""
-        return self._matrix
+    def eigenfunctions(self) -> tuple[Curve, ...]:
+        """The columns of ``matrix`` as curves, built on each access."""
+        return tuple(Curve(self.matrix[:, j], self.grid) for j in range(self.m))
 
 
 def decompose(
@@ -105,7 +117,7 @@ def decompose(
     gram = 0.5 * (gram + gram.T)
     sqrt_w = np.sqrt(grid.weights)
     sym = sqrt_w[:, None] * gram * sqrt_w[None, :]
-    evals, evecs = scipy.linalg.eigh(sym)
+    evals, evecs = np.linalg.eigh(sym)
     lam_max = evals[-1]
     if not (lam_max > 0.0):
         raise DegenerateKernelError("degenerate kernel: no positive eigenvalues")
@@ -114,13 +126,10 @@ def decompose(
         raise DegenerateKernelError("degenerate kernel: spectrum below truncation threshold")
     lam = evals[kept]
     funcs = evecs[:, kept] / sqrt_w[:, None]
-    for j in range(funcs.shape[1]):
-        col = funcs[:, j]
-        lead = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0][0]
-        if col[lead] < 0.0:
-            funcs[:, j] = -col
-    eigenfunctions = tuple(Curve(funcs[:, j], grid) for j in range(funcs.shape[1]))
-    return SpectralBasis(lam, eigenfunctions, grid, spec)
+    mags = np.abs(funcs)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)  # first True per column
+    funcs *= np.where(funcs[lead, np.arange(kept.size)] < 0.0, -1.0, 1.0)
+    return SpectralBasis(lam, funcs, grid, spec)
 
 
 def kernel_basis(

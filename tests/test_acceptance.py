@@ -56,7 +56,7 @@ def spectrum_basis(lams) -> SpectralBasis:
     grid = uniform_grid(max(len(lams), 2))
     mat = np.sqrt(grid.size) * np.eye(grid.size)[:, : len(lams)]
     funcs = tuple(Curve(mat[:, j], grid) for j in range(len(lams)))
-    return SpectralBasis(lams, funcs, grid)
+    return SpectralBasis.from_curves(lams, funcs, grid)
 
 
 def test_acceptance_01_sensitivity_maximizer():
@@ -219,7 +219,7 @@ def test_acceptance_08_sweet_spot_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--sweep", "phi", "--values", "1e-6,1e-4,1e-2,1e-1,1",
-        "--draws", "200", "--seed", "1", "--output", str(out),
+        "--seed", "1", "--output", str(out),
     ])
     assert code == 0
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
@@ -260,7 +260,7 @@ def test_acceptance_10_pcv_oversmooths(default_basis):
     phis = (1e-4, 1e-3, 1e-2, 0.1)
     cv_scores = [cv_score(data, spec, phi, folds=10, fold_seed=5) for phi in phis]
     phi_cv = phis[int(np.argmin(cv_scores))]
-    sel = SelectionGrid(phis, (0.001,), folds=10, mc_draws=200)
+    sel = SelectionGrid(phis, (0.001,), folds=10)
     phi_pcv, _ = pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=5)
     report(10, "pcv prefers heavier smoothing", phi_pcv >= phi_cv,
            f"phi_cv={phi_cv}, phi_pcv={phi_pcv}")
@@ -287,9 +287,9 @@ def test_acceptance_11_cli_determinism(tmp_path):
         "cv": ["cv", "--input", str(sample), "--rho-grid", "0.05,0.5",
                "--folds", "3", "--seed", "4"],
         "pcv": ["pcv", "--input", str(sample), "--phi-grid", "0.01,0.1",
-                "--rho-grid", "0.05", "--folds", "3", "--draws", "5", "--seed", "4"],
+                "--rho-grid", "0.05", "--folds", "3", "--seed", "4"],
         "sweep": ["sweep", "--sweep", "phi", "--values", "0.01,0.1", "--n", "4",
-                  "--grid-points", "25", "--draws", "10", "--seed", "5"],
+                  "--grid-points", "25", "--seed", "5"],
     }
     ok = True
     for name, argv in cases.items():

@@ -29,7 +29,7 @@ def basis_with_eigenvalues(lams) -> SpectralBasis:
     m_pts = grid.size
     mat = np.sqrt(m_pts) * np.eye(m_pts)[:, : len(lams)]
     funcs = tuple(Curve(mat[:, j], grid) for j in range(len(lams)))
-    return SpectralBasis(lams, funcs, grid)
+    return SpectralBasis.from_curves(lams, funcs, grid)
 
 
 def test_budget_validation():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +151,7 @@ def test_pcv_zero_data_matches_cv(tmp_path):
                "--rho-grid", "0.05,0.5", "--folds", "3",
                "--output", str(cv_report)) == 0
     assert run("pcv", "--input", str(sample), "--phi-grid", "0.01,0.1",
-               "--rho-grid", "0.05,0.5", "--folds", "3", "--draws", "5",
+               "--rho-grid", "0.05,0.5", "--folds", "3",
                "--output", str(pcv_report)) == 0
     cv_meta, pcv_meta = read_meta(cv_report), read_meta(pcv_report)
     assert float(pcv_meta["selected_rho"]) == float(cv_meta["selected_rho"])
@@ -157,7 +161,7 @@ def test_pcv_zero_data_matches_cv(tmp_path):
 def test_sweep_single_point(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--sweep", "phi", "--values", "0.01", "--n", "5",
-               "--grid-points", "30", "--draws", "10", "--output", str(out)) == 0
+               "--grid-points", "30", "--output", str(out)) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "parameter,value,metric,estimate"
     assert len(lines) == 1 + 3  # one swept value, three measured quantities
@@ -173,7 +177,7 @@ def test_sweep_rejects_two_parameters_structurally(tmp_path):
 def test_sweep_n_decreases_noise(tmp_path):
     out = tmp_path / "sweep_n.csv"
     assert run("sweep", "--sweep", "n", "--values", "5,25,100", "--grid-points", "50",
-               "--draws", "50", "--seed", "4", "--output", str(out)) == 0
+               "--seed", "4", "--output", str(out)) == 0
     lines = out.read_text(encoding="utf-8").splitlines()[1:]
     noise = [float(l.split(",")[3]) for l in lines if l.split(",")[2] == "release_vs_smooth"]
     assert noise[0] > noise[1] > noise[2]
@@ -202,9 +206,9 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
         "cv": ["cv", "--input", str(sample), "--rho-grid", "0.05,0.5",
                "--folds", "3", "--seed", "4"],
         "pcv": ["pcv", "--input", str(sample), "--phi-grid", "0.01,0.1",
-                "--rho-grid", "0.05", "--folds", "3", "--draws", "5", "--seed", "4"],
+                "--rho-grid", "0.05", "--folds", "3", "--seed", "4"],
         "sweep": ["sweep", "--sweep", "phi", "--values", "0.01,0.1", "--n", "4",
-                  "--grid-points", "25", "--draws", "10", "--seed", "5"],
+                  "--grid-points", "25", "--seed", "5"],
     }
     for name, argv in cases.items():
         first = tmp_path / f"{name}_1.out"
@@ -213,7 +217,13 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
         assert run(*argv, "--output", str(second)) == 0, name
         assert first.read_bytes() == second.read_bytes(), name
         meta1, meta2 = f"{first}.meta", f"{second}.meta"
-        import os
         if os.path.exists(meta1):
             with open(meta1, "rb") as f1, open(meta2, "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import fdpriv, sys; assert 'scipy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -10,9 +10,7 @@ from fdpriv import (
     SampleSet,
     SelectionGrid,
     SimConfig,
-    SmootherConfig,
     calibrate,
-    coefficients,
     cv_score,
     cv_select,
     fold_partition,
@@ -20,7 +18,6 @@ from fdpriv import (
     kl_simulate,
     pcv_score,
     pcv_select,
-    penalized_mean,
     uniform_grid,
 )
 
@@ -122,34 +119,21 @@ def test_cv_select_order_invariant():
     assert a == b
 
 
-def _pcv_analytic_moments(data, spec, phi, eta, folds, seed, mc_draws):
-    """Expected pcv - cv gap and its Monte-Carlo standard deviation.
+def _pcv_noise_gap(data, spec, phi, eta, folds, seed):
+    """Fold mean of sigma_k^2 * sum(lambda), the exact pcv - cv gap.
 
-    Per fold the per-draw score is  A + 2<z, d> + |z|^2  with z the sanitized
-    noise, so the mean shift is sigma^2 tr(lambda) and the variance is
-    4 sigma^2 sum(lambda d^2) + 2 sigma^4 sum(lambda^2).
+    Per fold the expected sanitized score is  A + 2 E<z, d> + E|z|^2  with z
+    the mean-zero noise, so the shift over plain CV is sigma_k^2 tr(lambda).
     """
     basis = kernel_basis(spec, data.grid)
-    cfg = SmootherConfig(phi, eta)
     parts = fold_partition(data.n, folds, seed)
-    lam = basis.eigenvalues
     gap = 0.0
-    var = 0.0
-    for k, held in enumerate(parts):
+    for k in range(len(parts)):
         train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
         train = SampleSet.from_values(data.values[train_idx], data.grid)
-        fit = penalized_mean(train, basis, cfg)
         calib = calibrate(basis, phi, eta, train.tau, train.n, BUDGET)
-        d = coefficients(
-            Curve(fit.values - data.values[held].mean(axis=0), data.grid), basis
-        )
-        gap += calib.sigma_sq * float(lam.sum())
-        var += (
-            4.0 * calib.sigma_sq * float(np.sum(lam * d**2))
-            + 2.0 * calib.sigma_sq**2 * float(np.sum(lam**2))
-        ) / mc_draws
-    n_folds = len(parts)
-    return gap / n_folds, math.sqrt(var) / n_folds
+        gap += calib.sigma_sq * float(basis.eigenvalues.sum())
+    return gap / len(parts)
 
 
 def test_pcv_score_equals_cv_score_without_noise():
@@ -157,7 +141,7 @@ def test_pcv_score_equals_cv_score_without_noise():
     data = SampleSet.from_values(np.zeros((6, 10)), grid)  # tau = 0 => sigma^2 = 0
     spec = KernelSpec("gaussian", 0.05)
     cv = cv_score(data, spec, 0.01, folds=3, fold_seed=1)
-    pcv = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, mc_draws=10, seed=1)
+    pcv = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, seed=1)
     assert abs(pcv - cv) <= 1e-10
 
 
@@ -166,8 +150,8 @@ def test_pcv_score_deterministic():
     rng = np.random.default_rng(5)
     data = SampleSet.from_values(0.3 * rng.normal(size=(6, 10)), grid)
     spec = KernelSpec("gaussian", 0.05)
-    a = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, mc_draws=1, seed=9)
-    b = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, mc_draws=1, seed=9)
+    a = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, seed=9)
+    b = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, seed=9)
     assert a == b
 
 
@@ -176,11 +160,11 @@ def test_pcv_score_noise_trace_decomposition():
     rng = np.random.default_rng(6)
     data = SampleSet.from_values(0.5 * rng.normal(size=(8, 15)), grid)
     spec = KernelSpec("matern52", 0.1)
-    phi, eta, folds, seed, draws = 0.05, 1.0, 4, 3, 1000
+    phi, eta, folds, seed = 0.05, 1.0, 4, 3
     cv = cv_score(data, spec, phi, eta, folds, seed)
-    pcv = pcv_score(data, spec, phi, eta, BUDGET, folds, draws, seed)
-    gap, stderr = _pcv_analytic_moments(data, spec, phi, eta, folds, seed, draws)
-    assert abs(pcv - cv - gap) <= 3.0 * stderr
+    pcv = pcv_score(data, spec, phi, eta, BUDGET, folds, seed)
+    gap = _pcv_noise_gap(data, spec, phi, eta, folds, seed)
+    assert pcv - cv == pytest.approx(gap, rel=1e-12)
 
 
 def test_pcv_score_never_below_cv_minus_noise():
@@ -193,11 +177,11 @@ def test_pcv_score_never_below_cv_minus_noise():
             str(rng.choice(("gaussian", "matern32"))), float(10 ** rng.uniform(-2, 0))
         )
         phi = float(10 ** rng.uniform(-3, 0))
-        draws = 200
         cv = cv_score(data, spec, phi, folds=3, fold_seed=trial)
-        pcv = pcv_score(data, spec, phi, 1.0, BUDGET, 3, draws, trial)
-        _, stderr = _pcv_analytic_moments(data, spec, phi, 1.0, 3, trial, draws)
-        assert pcv >= cv - 3.0 * stderr
+        pcv = pcv_score(data, spec, phi, 1.0, BUDGET, 3, trial)
+        gap = _pcv_noise_gap(data, spec, phi, 1.0, 3, trial)
+        assert pcv >= cv
+        assert pcv - cv == pytest.approx(gap, rel=1e-12)
 
 
 def test_pcv_full_n_calibration_adds_less_noise():
@@ -205,8 +189,8 @@ def test_pcv_full_n_calibration_adds_less_noise():
     rng = np.random.default_rng(9)
     data = SampleSet.from_values(0.4 * rng.normal(size=(9, 12)), grid)
     spec = KernelSpec("gaussian", 0.05)
-    per_fold = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, mc_draws=400, seed=2)
-    full_n = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, mc_draws=400, seed=2,
+    per_fold = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, seed=2)
+    full_n = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, seed=2,
                        calibrate_on_full_n=True)
     # full-N calibration uses the larger sample size, hence sigma^2 shrinks by
     # (N_train/N)^2 and the noise part of the score drops with it
@@ -218,14 +202,14 @@ def test_pcv_select_single_cell():
     grid = uniform_grid(10)
     rng = np.random.default_rng(8)
     data = SampleSet.from_values(0.3 * rng.normal(size=(6, 10)), grid)
-    sel = SelectionGrid((0.02,), (0.1,), folds=3, mc_draws=5)
+    sel = SelectionGrid((0.02,), (0.1,), folds=3)
     assert pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=1) == (0.02, 0.1)
 
 
 def test_pcv_select_zero_data_matches_cv_selection():
     grid = uniform_grid(10)
     data = SampleSet.from_values(np.zeros((6, 10)), grid)
-    sel = SelectionGrid((0.01, 0.1), (0.05, 0.5), folds=3, mc_draws=5)
+    sel = SelectionGrid((0.01, 0.1), (0.05, 0.5), folds=3)
     phi_star, rho_star = pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=2)
     # zero sensitivity: pcv scores equal cv scores, every cell ties, and the
     # tie rule picks the smallest phi then smallest rho -- same as plain cv
@@ -239,6 +223,26 @@ def test_pcv_prefers_heavier_smoothing_than_cv(default_basis):
     spec = KernelSpec("gaussian", 0.001)
     cv_scores = [cv_score(data, spec, phi, folds=10, fold_seed=5) for phi in phis]
     phi_cv = phis[int(np.argmin(cv_scores))]
-    sel = SelectionGrid(phis, (0.001,), folds=10, mc_draws=100)
+    sel = SelectionGrid(phis, (0.001,), folds=10)
     phi_pcv, _ = pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=5)
     assert phi_pcv >= phi_cv
+
+
+def test_selection_builds_no_per_row_curves(default_basis, monkeypatch):
+    built = []
+    original = Curve.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Curve, "__post_init__", counting)
+    sel = SelectionGrid((0.01, 0.1), (0.001, 0.002), folds=4)
+    counts = []
+    for n in (40, 200):
+        data = kl_simulate(SimConfig(n, seed=1), default_basis)
+        built.clear()
+        pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=2)
+        cv_select(data, "gaussian", 0.01, sel.rho_values, folds=4, seed=2)
+        counts.append(len(built))
+    assert counts[0] == counts[1]

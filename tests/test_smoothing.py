@@ -41,10 +41,35 @@ def test_sample_set_rejects_violated_bound_and_mixed_grids():
     grid = uniform_grid(8)
     big = Curve(np.full(8, 10.0), grid)
     with pytest.raises(ValueError):
-        SampleSet((big,), 1.0)
+        SampleSet.from_curves([big], tau=1.0)
     other = Curve(np.zeros(9), uniform_grid(9))
     with pytest.raises(ValueError):
         SampleSet.from_curves([big, other])
+
+
+def test_sample_set_from_values_validates_rows():
+    grid = uniform_grid(8)
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(5, 8))
+    data = SampleSet.from_values(values, grid)
+    assert data.n == 5 and data.grid is grid
+    assert not data.values.flags.writeable
+    with pytest.raises(ValueError):
+        data.values[0, 0] = 1.0
+    values[0, 0] = 99.0  # the sample keeps its own copy
+    assert data.values[0, 0] != 99.0
+    norms = [c.norm() for c in data.curves]
+    assert data.tau == max(norms)
+    bad = values.copy()
+    bad[2, 3] = np.nan
+    with pytest.raises(ValueError):
+        SampleSet.from_values(bad, grid)
+    with pytest.raises(ValueError):  # wrong width
+        SampleSet.from_values(values[:, :7], grid)
+    with pytest.raises(ValueError):  # a row above the stated bound
+        SampleSet.from_values(values, grid, tau=0.5 * max(norms))
+    with pytest.raises(ValueError):  # no rows
+        SampleSet.from_values(np.empty((0, 8)), grid)
 
 
 def test_penalized_mean_single_mode_closed_form():

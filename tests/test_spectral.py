@@ -110,27 +110,36 @@ def test_decompose_rejects_degenerate():
         decompose(np.zeros((3, 3)), grid)
 
 
-def test_decompose_sign_convention():
+def test_decompose_sign_convention(default_basis):
     grid = uniform_grid(5)
     gram = gram_matrix(KernelSpec("gaussian", 0.1), grid)
-    basis = decompose(gram, grid)
-    for j in range(basis.m):
-        col = basis.matrix[:, j]
-        lead = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0][0]
-        assert col[lead] > 0
+    for basis in (decompose(gram, grid), default_basis):
+        for j in range(basis.m):
+            col = basis.matrix[:, j]
+            lead = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0][0]
+            assert col[lead] > 0
+
+
+def test_basis_from_curves_matches_decompose():
+    grid = uniform_grid(12)
+    basis = decompose(gram_matrix(KernelSpec("matern32", 0.2), grid), grid)
+    rebuilt = SpectralBasis.from_curves(basis.eigenvalues, basis.eigenfunctions, grid)
+    assert np.array_equal(rebuilt.matrix, basis.matrix)
+    assert np.array_equal(rebuilt.eigenvalues, basis.eigenvalues)
+    assert not rebuilt.matrix.flags.writeable
 
 
 def test_basis_construction_rejects_bad_inputs():
     grid = uniform_grid(2)
     good = (Curve(np.array([1.0, 1.0]), grid), Curve(np.array([1.0, -1.0]), grid))
     with pytest.raises(ValueError):  # not orthonormal under the weights
-        SpectralBasis(np.array([0.5, 0.25]), (good[0], good[0]), grid)
+        SpectralBasis.from_curves(np.array([0.5, 0.25]), (good[0], good[0]), grid)
     with pytest.raises(ValueError):  # increasing eigenvalues
-        SpectralBasis(np.array([0.25, 0.5]), good, grid)
+        SpectralBasis.from_curves(np.array([0.25, 0.5]), good, grid)
     with pytest.raises(ValueError):  # non-positive eigenvalue
-        SpectralBasis(np.array([0.5, 0.0]), good, grid)
+        SpectralBasis.from_curves(np.array([0.5, 0.0]), good, grid)
     with pytest.raises(ValueError):  # count mismatch
-        SpectralBasis(np.array([0.5]), good, grid)
+        SpectralBasis.from_curves(np.array([0.5]), good, grid)
 
 
 def test_coefficients_orthonormality():
