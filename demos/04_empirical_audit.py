@@ -52,8 +52,8 @@ weak = dp_audit(theta_d, theta_dp, basis, budget, sigma_sq / 100.0,
 print(f"sigma_sq/100 audit: rate = {weak.empirical_violation_rate:.5f}, "
       f"pass = {weak.passed}, undercalibrated flag = {weak.undercalibrated}")
 
-# auditing the swapped direction tells the same story
-swapped = dp_audit(theta_d, theta_dp, basis, budget, sigma_sq,
-                   n_samples=100_000, seed=2, swap=True)
+# auditing the other direction (summaries swapped) tells the same story
+swapped = dp_audit(theta_dp, theta_d, basis, budget, sigma_sq,
+                   n_samples=100_000, seed=2)
 print(f"swapped direction: rate = {swapped.empirical_violation_rate:.5f}, "
       f"pass = {swapped.passed}")

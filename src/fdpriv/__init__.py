@@ -59,7 +59,6 @@ from .smoothing import (
     SampleSet,
     SmootherConfig,
     penalized_mean,
-    penalized_mean_direct,
     shrinkage_factors,
 )
 from .spectral import (
@@ -128,7 +127,6 @@ __all__ = [
     "pcv_score",
     "pcv_select",
     "penalized_mean",
-    "penalized_mean_direct",
     "point_eval_functional",
     "postprocess",
     "projection_quadratic_form",

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .calibration import PrivacyBudget, PrivacyRefusalError, calibrate, noise_scale
+from .calibration import GS_METHODS, PrivacyBudget, PrivacyRefusalError, calibrate, noise_scale
 from .io import (
     CsvFormatError,
     format_float,
@@ -72,6 +72,22 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
                    help="privacy budget epsilon in (0, 1] (default 1)")
     p.add_argument("--delta", type=float, default=0.1,
                    help="privacy budget delta in (0, 1) (default 0.1)")
+
+
+def _add_method_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--method", default="exact_spectral", choices=GS_METHODS,
+                   help="sensitivity bound to calibrate with")
+
+
+def _add_sim_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=25, help="number of curves (default 25)")
+    p.add_argument("--p", type=float, default=4.0, help="score decay exponent (default 4)")
+    p.add_argument("--grid-points", type=int, default=100,
+                   help="equispaced grid size (default 100)")
+    p.add_argument("--mean", default="sin_default", choices=("sin_default", "zero"),
+                   help="mean function name (default sin_default)")
+    p.add_argument("--score-halfwidth", type=float, default=0.4,
+                   help="uniform score halfwidth (default 0.4)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -166,6 +182,8 @@ def _read_single_curve(path):
 def cmd_audit(args) -> None:
     theta_d = _read_single_curve(args.theta_d)
     theta_dp = _read_single_curve(args.theta_dp)
+    if args.swap:
+        theta_d, theta_dp = theta_dp, theta_d
     if not theta_d.grid.matches(theta_dp.grid):
         raise ValueError("theta curves live on different grids")
     basis = kernel_basis(KernelSpec(args.kernel, args.rho), theta_d.grid, args.tol)
@@ -175,8 +193,7 @@ def cmd_audit(args) -> None:
     else:
         diff = Curve(theta_d.values - theta_dp.values, theta_d.grid)
         sigma_sq = noise_scale(budget, cm_norm_sq(coefficients(diff, basis), basis))
-    report = dp_audit(theta_d, theta_dp, basis, budget, sigma_sq,
-                      args.samples, args.seed, args.swap)
+    report = dp_audit(theta_d, theta_dp, basis, budget, sigma_sq, args.samples, args.seed)
     write_meta(args.output, {
         "command": "audit",
         "kernel_family": args.kernel,
@@ -320,14 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate curves by Karhunen-Loeve expansion")
     _add_kernel_args(p)
-    p.add_argument("--n", type=int, default=25, help="number of curves (default 25)")
-    p.add_argument("--p", type=float, default=4.0, help="score decay exponent (default 4)")
-    p.add_argument("--grid-points", type=int, default=100,
-                   help="equispaced grid size (default 100)")
-    p.add_argument("--mean", default="sin_default", choices=("sin_default", "zero"),
-                   help="mean function name (default sin_default)")
-    p.add_argument("--score-halfwidth", type=float, default=0.4,
-                   help="uniform score halfwidth (default 0.4)")
+    _add_sim_args(p)
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -352,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_kernel_args(p)
         _add_smoother_args(p)
         _add_budget_args(p)
-        p.add_argument("--method", default="exact_spectral",
-                       choices=("exact_spectral", "closed_form"),
-                       help="sensitivity bound to calibrate with")
+        _add_method_arg(p)
         if name == "projections":
             p.add_argument("--at", type=_float_list, required=True,
                            help="comma-separated grid points to evaluate at")
@@ -407,17 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_args(p)
     _add_smoother_args(p)
     _add_budget_args(p)
-    p.add_argument("--n", type=int, default=25, help="number of curves (default 25)")
-    p.add_argument("--p", type=float, default=4.0, help="score decay exponent (default 4)")
-    p.add_argument("--grid-points", type=int, default=100,
-                   help="equispaced grid size (default 100)")
-    p.add_argument("--mean", default="sin_default", choices=("sin_default", "zero"),
-                   help="mean function name (default sin_default)")
-    p.add_argument("--score-halfwidth", type=float, default=0.4,
-                   help="uniform score halfwidth (default 0.4)")
-    p.add_argument("--method", default="exact_spectral",
-                   choices=("exact_spectral", "closed_form"),
-                   help="sensitivity bound to calibrate with")
+    _add_sim_args(p)
+    _add_method_arg(p)
     _add_common(p)
     p.set_defaults(handler=cmd_sweep)
 

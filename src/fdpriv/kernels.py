@@ -27,8 +27,8 @@ class Grid:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        points = np.array(self.points, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if points.ndim != 1 or points.size < 2:
             raise ValueError("grid needs at least two points")
         if weights.shape != points.shape:
@@ -95,7 +95,7 @@ class Curve:
     grid: Grid
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.size,):
             raise ValueError(
                 f"curve has {values.size} values for a {self.grid.size}-point grid"
@@ -104,12 +104,6 @@ class Curve:
             raise ValueError("curve values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def inner(self, other: "Curve") -> float:
-        """Weighted L2 inner product with another curve on the same grid."""
-        if not self.grid.matches(other.grid):
-            raise ValueError("curves live on different grids")
-        return float(np.sum(self.grid.weights * self.values * other.values))
 
     def norm(self) -> float:
         """Weighted L2 norm sqrt(sum(w_k * x_k^2))."""

@@ -18,12 +18,7 @@ import numpy as np
 
 from .calibration import CalibrationResult, PrivacyBudget, PrivacyRefusalError, noise_scale
 from .kernels import Curve
-from .spectral import (
-    RELEASE_COMPAT_TOL,
-    SpectralBasis,
-    coefficients,
-    compatibility_check,
-)
+from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check
 from .rng import make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
@@ -87,12 +82,45 @@ class AuditReport:
     undercalibrated: bool
 
 
+def _noise_coefficients(
+    basis: SpectralBasis, sigma_sq: float, rng: np.random.Generator, rows: tuple = ()
+) -> np.ndarray:
+    """Basis coefficients sigma * sqrt(lambda_j) * xi_j of noise draws, shape rows + (m,)."""
+    xi = rng.standard_normal((*rows, basis.m))
+    return math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues) * xi
+
+
+def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
+    """Coefficients of x; refuses x off the basis span, which no noise scale privatizes."""
+    report = compatibility_check(x, basis)
+    if not report.compatible:
+        raise PrivacyRefusalError(
+            f"{name} is incompatible with the noise: fraction "
+            f"{report.residual_fraction:.3e} of its energy lies outside the "
+            "basis span, so no noise scale achieves differential privacy"
+        )
+    return coefficients(x, basis)
+
+
+def _log_ratio(
+    cx: np.ndarray, cd: np.ndarray, cdp: np.ndarray, basis: SpectralBasis, sigma_sq: float
+) -> np.ndarray:
+    """Log density ratio at coefficients cx (one row or a block) of releases centered at cd vs cdp.
+
+    Affine in cx, const + cx . slope, with the norms in const taken in the
+    Cameron-Martin geometry of the noise (covariance sigma_sq times the basis's).
+    """
+    lam = basis.eigenvalues
+    slope = (cd - cdp) / lam / sigma_sq
+    const = -(np.sum(cd**2 / lam) - np.sum(cdp**2 / lam)) / (2.0 * sigma_sq)
+    return const + cx @ slope
+
+
 def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     """One draw of the scaled Gaussian process, deterministic in the seed."""
     if sigma_sq < 0.0:
         raise ValueError("sigma_sq must be non-negative")
-    xi = make_rng(seed).standard_normal(basis.m)
-    coeffs = math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues) * xi
+    coeffs = _noise_coefficients(basis, sigma_sq, make_rng(seed))
     return Curve(basis.matrix @ coeffs, basis.grid)
 
 
@@ -115,19 +143,7 @@ def _release_meta(
     family = basis.spec.family if basis.spec is not None else "custom"
     rho = basis.spec.rho if basis.spec is not None else float("nan")
     return ReleaseMeta(
-        kernel_family=family,
-        rho=rho,
-        phi=calib.phi,
-        eta=calib.eta,
-        tau=calib.tau,
-        n=calib.n,
-        epsilon=calib.epsilon,
-        delta=calib.delta,
-        delta_sq=calib.delta_sq,
-        sigma_sq=calib.sigma_sq,
-        method=calib.method,
-        seed=int(seed),
-        timestamp=timestamp,
+        kernel_family=family, rho=rho, seed=int(seed), timestamp=timestamp, **asdict(calib)
     )
 
 
@@ -138,18 +154,8 @@ def release_function(
     seed: int,
     timestamp: str = "",
 ) -> SanitizedRelease:
-    """Full-function release mu_hat + noise.
-
-    Refuses summaries that do not lie in the basis span: no noise scale can
-    privatize those, so emitting anything would be a false guarantee.
-    """
-    report = compatibility_check(mu_hat, basis, rel_tol=RELEASE_COMPAT_TOL)
-    if not report.compatible:
-        raise PrivacyRefusalError(
-            "summary is incompatible with the noise: fraction "
-            f"{report.residual_fraction:.3e} of its energy lies outside the "
-            "basis span, so no noise scale achieves differential privacy"
-        )
+    """Full-function release mu_hat + noise; refuses a summary off the basis span."""
+    _span_coefficients(mu_hat, basis, "summary")
     noise = sample_noise(basis, calib.sigma_sq, seed)
     released = Curve(mu_hat.values + noise.values, basis.grid)
     return SanitizedRelease(_release_meta(basis, calib, seed, timestamp), curve=released)
@@ -215,24 +221,14 @@ def density_log_ratio(
 ) -> float:
     """Log density ratio at x between releases centered at theta_d and theta_dp.
 
-    In coefficients:  -(1/(2 sigma_sq)) * (|theta_d|^2 - |theta_dp|^2
-    - 2 (T_d - T_dp)(x))  with T_theta(x) = sum_j theta_j x_j / lambda_j
-    and the norms taken in the Cameron-Martin geometry of the noise, whose
-    covariance is sigma_sq times the basis covariance.
+    Both centers must lie in the basis span; the ratio is evaluated on x's
+    basis coefficients.
     """
     if sigma_sq <= 0.0:
         raise ValueError("sigma_sq must be positive")
-    for name, theta in (("theta_d", theta_d), ("theta_dp", theta_dp)):
-        if not compatibility_check(theta, basis).compatible:
-            raise PrivacyRefusalError(f"{name} is incompatible with the noise basis")
-    lam = basis.eigenvalues
-    cd = coefficients(theta_d, basis)
-    cdp = coefficients(theta_dp, basis)
-    cx = coefficients(x, basis)
-    norm_d = float(np.sum(cd**2 / lam))
-    norm_dp = float(np.sum(cdp**2 / lam))
-    t_diff = float(np.sum((cd - cdp) * cx / lam))
-    return -(norm_d - norm_dp - 2.0 * t_diff) / (2.0 * sigma_sq)
+    cd = _span_coefficients(theta_d, basis, "theta_d")
+    cdp = _span_coefficients(theta_dp, basis, "theta_dp")
+    return float(_log_ratio(coefficients(x, basis), cd, cdp, basis, sigma_sq))
 
 
 def dp_audit(
@@ -243,7 +239,6 @@ def dp_audit(
     sigma_sq: float,
     n_samples: int = 100_000,
     seed: int = 0,
-    swap: bool = False,
 ) -> AuditReport:
     """Monte-Carlo audit of the privacy tail bound for one adjacent pair.
 
@@ -251,37 +246,25 @@ def dp_audit(
     ratio against theta_dp exceeds epsilon, and passes when that rate stays
     within delta plus three Monte-Carlo standard errors.  A sigma_sq below
     the calibrated minimum for this pair is flagged as undercalibrated (the
-    audit still runs and is expected to fail).  Set swap=True to audit the
-    opposite direction.
+    audit still runs and is expected to fail).  The direction is the argument
+    order: pass the summaries swapped to audit the opposite direction.
     """
     if n_samples < _AUDIT_MIN_SAMPLES:
         raise ValueError(f"audit needs at least {_AUDIT_MIN_SAMPLES} samples")
     if sigma_sq <= 0.0:
         raise ValueError("sigma_sq must be positive")
-    if swap:
-        theta_d, theta_dp = theta_dp, theta_d
-    for name, theta in (("theta_d", theta_d), ("theta_dp", theta_dp)):
-        if not compatibility_check(theta, basis).compatible:
-            raise PrivacyRefusalError(f"{name} is incompatible with the noise basis")
-
-    lam = basis.eigenvalues
-    cd = coefficients(theta_d, basis)
-    cdp = coefficients(theta_dp, basis)
-    pair_delta_sq = float(np.sum((cd - cdp) ** 2 / lam))
-    minimum = noise_scale(budget, pair_delta_sq)
+    cd = _span_coefficients(theta_d, basis, "theta_d")
+    cdp = _span_coefficients(theta_dp, basis, "theta_dp")
+    minimum = noise_scale(budget, cm_norm_sq(cd - cdp, basis))
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
 
-    # log ratio is affine in the sampled coefficients: const + slope . c_x
-    slope = (cd - cdp) / lam / sigma_sq
-    const = -(np.sum(cd**2 / lam) - np.sum(cdp**2 / lam)) / (2.0 * sigma_sq)
-    scale = math.sqrt(sigma_sq) * np.sqrt(lam)
     rng = make_rng(seed)
     violations = 0
     remaining = int(n_samples)
     while remaining > 0:
         block = min(remaining, _AUDIT_CHUNK)
-        xi = rng.standard_normal((block, lam.size))
-        log_ratio = const + (cd + scale * xi) @ slope
+        cx = cd + _noise_coefficients(basis, sigma_sq, rng, (block,))
+        log_ratio = _log_ratio(cx, cd, cdp, basis, sigma_sq)
         violations += int(np.count_nonzero(log_ratio > budget.epsilon))
         remaining -= block
     rate = violations / n_samples

@@ -170,40 +170,33 @@ def cm_norm_sq(coeffs: np.ndarray, basis: SpectralBasis, eta: float = 1.0) -> fl
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    """Outcome of a span check: the verdict plus what it was based on.
+    """Outcome of a span check: the verdict plus the share it was based on.
 
     residual_fraction is the share of the curve's squared L2 norm lying
-    outside the retained span; cm_norm_sq is the Cameron-Martin energy of the
-    projected part.
+    outside the retained span; the curve is compatible when that share is at
+    most RELEASE_COMPAT_TOL.
     """
 
     compatible: bool
     residual_fraction: float
-    cm_norm_sq: float
 
     def __bool__(self) -> bool:
         return self.compatible
 
 
-def compatibility_check(
-    x: Curve,
-    basis: SpectralBasis,
-    eta: float = 1.0,
-    rel_tol: float = RELEASE_COMPAT_TOL,
-) -> CompatibilityReport:
-    """Check whether a curve lies in the basis span, up to a relative tolerance.
+def compatibility_check(x: Curve, basis: SpectralBasis) -> CompatibilityReport:
+    """Check whether a curve lies in the basis span, up to RELEASE_COMPAT_TOL.
 
     A summary failing this check cannot be privatized by noise drawn from this
     basis at any scale, so release operations refuse it outright.  The check
     itself never raises; it reports.
     """
-    c = coefficients(x, basis)
-    residual = x.values - basis.matrix @ c
+    residual = x.values - basis.matrix @ coefficients(x, basis)
     residual_energy = float(np.sum(basis.grid.weights * residual**2))
     total_energy = float(np.sum(basis.grid.weights * x.values**2))
     fraction = residual_energy / total_energy if total_energy > 0.0 else 0.0
-    compatible = residual_energy <= rel_tol * total_energy
-    return CompatibilityReport(compatible, fraction, cm_norm_sq(c, basis, eta))
+    compatible = residual_energy <= RELEASE_COMPAT_TOL * total_energy
+    return CompatibilityReport(compatible, fraction)
 
 
 def k_gram(functionals: np.ndarray, basis: SpectralBasis) -> np.ndarray:

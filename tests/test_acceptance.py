@@ -26,7 +26,6 @@ from fdpriv import (
     noise_scale,
     pcv_select,
     penalized_mean,
-    penalized_mean_direct,
     projection_quadratic_form,
     reconstruct,
     sample_noise,
@@ -41,6 +40,7 @@ from fdpriv.io import write_curves_csv
 from fdpriv.rng import derive_seed, make_rng
 
 from conftest import toy_basis
+from oracles import penalized_mean_direct
 
 BUDGET = PrivacyBudget(1.0, 0.1)
 

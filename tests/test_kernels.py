@@ -54,6 +54,16 @@ def test_curve_validation():
         Curve(np.array([1.0, np.inf, 0.0, 0.0]), grid)
 
 
+def test_curve_and_grid_copy_the_callers_arrays():
+    points, weights, values = np.linspace(0.0, 1.0, 3), np.full(3, 1.0 / 3), np.zeros(3)
+    grid = Grid(points, weights)
+    curve = Curve(values, grid)
+    points[1], weights[1], values[0] = 0.25, 0.5, 1.0  # still writable
+    assert grid.points[1] == 0.5 and grid.weights[1] == 1.0 / 3
+    assert curve.values[0] == 0.0
+    assert not (grid.points.flags.writeable or curve.values.flags.writeable)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("brownian", 1.0)

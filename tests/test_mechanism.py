@@ -100,17 +100,7 @@ def test_release_curve_stays_in_basis_span():
     basis = toy_basis()
     mu_hat = reconstruct(np.array([0.3, -0.1, 0.0, 0.05, 0.0]), basis)
     release = release_function(mu_hat, basis, make_calibration(0.5, basis), seed=17)
-    assert compatibility_check(release.curve, basis, rel_tol=1e-10).compatible
-
-
-def test_release_function_refuses_incompatible_summary():
-    basis = toy_basis()
-    rng = np.random.default_rng(9)
-    raw = rng.normal(size=basis.grid.size)
-    proj = basis.matrix @ coefficients(Curve(raw, basis.grid), basis)
-    off_span = Curve(raw - proj, basis.grid)
-    with pytest.raises(PrivacyRefusalError):
-        release_function(off_span, basis, make_calibration(1.0, basis), seed=0)
+    assert compatibility_check(release.curve, basis).compatible
 
 
 def test_release_function_noise_energy_identity():
@@ -250,15 +240,22 @@ def test_density_log_ratio_antisymmetry():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_density_log_ratio_rejects_incompatible_center():
+@pytest.mark.parametrize("call", [
+    lambda bad, ok, basis: release_function(bad, basis, make_calibration(0.5, basis), 0),
+    lambda bad, ok, basis: density_log_ratio(ok, bad, ok, basis, 0.5),
+    lambda bad, ok, basis: density_log_ratio(ok, ok, bad, basis, 0.5),
+    lambda bad, ok, basis: dp_audit(bad, ok, basis, BUDGET, 0.5, 10_000),
+    lambda bad, ok, basis: dp_audit(ok, bad, basis, BUDGET, 0.5, 10_000),
+], ids=["release", "log_ratio_theta_d", "log_ratio_theta_dp", "audit_theta_d",
+        "audit_theta_dp"])
+def test_off_span_curve_is_refused_everywhere(call):
     basis = toy_basis()
-    rng = np.random.default_rng(41)
-    raw = rng.normal(size=basis.grid.size)
+    raw = np.random.default_rng(41).normal(size=basis.grid.size)
     proj = basis.matrix @ coefficients(Curve(raw, basis.grid), basis)
     off_span = Curve(raw - proj, basis.grid)
-    x = reconstruct(np.zeros(basis.m), basis)
-    with pytest.raises(PrivacyRefusalError):
-        density_log_ratio(x, off_span, x, basis, 0.5)
+    ok = reconstruct(np.array([0.3, -0.1, 0.0, 0.05, 0.0]), basis)
+    with pytest.raises(PrivacyRefusalError, match="outside the basis span"):
+        call(off_span, ok, basis)
 
 
 def test_dp_audit_equal_pair_passes_with_zero_rate():
@@ -311,9 +308,39 @@ def test_dp_audit_swap_direction_runs():
     sigma_sq = noise_scale(BUDGET, cm_norm_sq(cd - cdp, basis))
     fwd = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
                    sigma_sq, 10_000, seed=9)
-    bwd = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
-                   sigma_sq, 10_000, seed=9, swap=True)
+    bwd = dp_audit(reconstruct(cdp, basis), reconstruct(cd, basis), basis, BUDGET,
+                   sigma_sq, 10_000, seed=9)
     assert fwd.passed and bwd.passed
+
+
+def _exact_violation_rate(pair_sq: float, sigma_sq: float, epsilon: float) -> float:
+    """P(L > epsilon) for the exact privacy loss L ~ N(mu, 2 mu), mu = D^2 / (2 sigma^2).
+
+    Equals Phi(D / (2 sigma) - epsilon sigma / D) (Balle & Wang, ICML 2018).
+    """
+    d, sigma = math.sqrt(pair_sq), math.sqrt(sigma_sq)
+    z = d / (2.0 * sigma) - epsilon * sigma / d
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_dp_audit_rate_matches_exact_privacy_loss_law(scale, swapped):
+    basis = toy_basis()
+    rng = np.random.default_rng(71)
+    cd = rng.normal(size=basis.m)
+    cdp = cd + 0.4 * rng.normal(size=basis.m)
+    pair_sq = cm_norm_sq(cd - cdp, basis)
+    sigma_sq = scale * noise_scale(BUDGET, pair_sq)
+    centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
+    if swapped:
+        centers = centers[::-1]
+    n = 200_000
+    report = dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=12)
+    exact = _exact_violation_rate(pair_sq, sigma_sq, BUDGET.epsilon)
+    stderr = math.sqrt(exact * (1.0 - exact) / n)
+    assert abs(report.empirical_violation_rate - exact) <= 4.0 * stderr
+    assert report.undercalibrated == (scale < 1.0)
 
 
 def test_dp_audit_rejects_small_sample_count():
