@@ -27,7 +27,7 @@ from .io import (
 from .kernels import Curve, KERNEL_FAMILIES, KernelSpec, uniform_grid
 from .mechanism import dp_audit, noise_energy, release_function, release_projections
 from .selection import SelectionGrid, cv_score, pcv_select
-from .simulate import SimConfig, default_mean, kl_simulate
+from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
 from .spectral import (
     DegenerateKernelError,
@@ -84,7 +84,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, default=4.0, help="score decay exponent (default 4)")
     p.add_argument("--grid-points", type=int, default=100,
                    help="equispaced grid size (default 100)")
-    p.add_argument("--mean", default="sin_default", choices=("sin_default", "zero"),
+    p.add_argument("--mean", default="sin_default", choices=MEAN_NAMES,
                    help="mean function name (default sin_default)")
     p.add_argument("--score-halfwidth", type=float, default=0.4,
                    help="uniform score halfwidth (default 0.4)")

@@ -56,19 +56,18 @@ def fold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, folds))
 
 
-def _fold_fit_error(
-    data: SampleSet,
-    basis: SpectralBasis,
-    cfg: SmootherConfig,
-    train_idx: np.ndarray,
-    held_idx: np.ndarray,
+def _fold_errors(
+    data: SampleSet, basis: SpectralBasis, cfg: SmootherConfig, folds: int, seed: int
 ):
-    """Fit on the training rows; return (training set, mean squared L2 error on held rows)."""
-    train = SampleSet(data.values[train_idx], data.grid)
-    fit = penalized_mean(train, basis, cfg)
-    diffs = fit.values[None, :] - data.values[held_idx]
-    errors = (diffs**2) @ data.grid.weights
-    return train, float(errors.mean())
+    """Per fold, yield (training set, mean squared L2 error of its fit on the held-out rows)."""
+    parts = fold_partition(data.n, folds, seed)
+    for k, held_idx in enumerate(parts):
+        train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
+        train = SampleSet(data.values[train_idx], data.grid)
+        fit = penalized_mean(train, basis, cfg)
+        diffs = fit.values[None, :] - data.values[held_idx]
+        errors = (diffs**2) @ data.grid.weights
+        yield train, float(errors.mean())
 
 
 def cv_score(
@@ -87,13 +86,7 @@ def cv_score(
     """
     basis = kernel_basis(spec, data.grid, tol)
     cfg = SmootherConfig(phi, eta)
-    parts = fold_partition(data.n, folds, fold_seed)
-    total = 0.0
-    for k, held_idx in enumerate(parts):
-        train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
-        _, err = _fold_fit_error(data, basis, cfg, train_idx, held_idx)
-        total += err
-    return total / len(parts)
+    return sum(err for _, err in _fold_errors(data, basis, cfg, folds, fold_seed)) / folds
 
 
 def cv_select(
@@ -145,17 +138,12 @@ def pcv_score(
     """
     basis = kernel_basis(spec, data.grid, tol)
     cfg = SmootherConfig(phi, eta)
-    parts = fold_partition(data.n, folds, seed)
     total = 0.0
-    for k, held_idx in enumerate(parts):
-        train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
-        train, base_err = _fold_fit_error(data, basis, cfg, train_idx, held_idx)
-        if calibrate_on_full_n:
-            calib = calibrate(basis, phi, eta, data.tau, data.n, budget)
-        else:
-            calib = calibrate(basis, phi, eta, train.tau, train.n, budget)
+    for train, base_err in _fold_errors(data, basis, cfg, folds, seed):
+        calibrated_on = data if calibrate_on_full_n else train
+        calib = calibrate(basis, phi, eta, calibrated_on.tau, calibrated_on.n, budget)
         total += base_err + noise_energy(basis, calib.sigma_sq)
-    return total / len(parts)
+    return total / folds
 
 
 def pcv_select(

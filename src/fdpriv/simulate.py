@@ -12,7 +12,7 @@ from .rng import make_rng
 from .smoothing import SampleSet
 from .spectral import SpectralBasis
 
-MEAN_NAMES = ("sin_default", "zero", "custom")
+MEAN_NAMES = ("sin_default", "zero")
 DEFAULT_SCORE_HALFWIDTH = 0.4
 
 
@@ -20,8 +20,9 @@ DEFAULT_SCORE_HALFWIDTH = 0.4
 class SimConfig:
     """Sample size, score decay exponent p > 1, mean, score range, and seed.
 
-    Scores multiplying mode j decay like j^(-p/2); p must exceed 1 or the
-    curves would not be square integrable in the limit.
+    mean is a name from MEAN_NAMES or a Curve on the basis grid.  Scores
+    multiplying mode j decay like j^(-p/2); p must exceed 1 or the curves
+    would not be square integrable in the limit.
     """
 
     n: int
@@ -42,22 +43,15 @@ class SimConfig:
         object.__setattr__(self, "n", int(self.n))
 
 
-def default_mean(name: str, grid: Grid, custom: Curve | None = None) -> Curve:
+def default_mean(name: str, grid: Grid) -> Curve:
     """Named mean functions sampled on a grid.
 
-    sin_default is 0.1 sin(pi t); zero is the zero curve; custom requires the
-    curve to be passed in explicitly.
+    sin_default is 0.1 sin(pi t); zero is the zero curve.
     """
     if name == "sin_default":
         return Curve(0.1 * np.sin(np.pi * grid.points), grid)
     if name == "zero":
         return Curve(np.zeros(grid.size), grid)
-    if name == "custom":
-        if custom is None:
-            raise ValueError("mean 'custom' requires an explicit curve")
-        if not custom.grid.matches(grid):
-            raise ValueError("custom mean lives on a different grid")
-        return custom
     raise ValueError(f"unknown mean name {name!r}; choose from {MEAN_NAMES}")
 
 
@@ -69,7 +63,9 @@ def kl_simulate(cfg: SimConfig, basis: SpectralBasis) -> SampleSet:
     """
     grid = basis.grid
     if isinstance(cfg.mean, Curve):
-        mu = default_mean("custom", grid, cfg.mean)
+        if not cfg.mean.grid.matches(grid):
+            raise ValueError("mean curve lives on a different grid than the basis")
+        mu = cfg.mean
     else:
         mu = default_mean(cfg.mean, grid)
     w = cfg.score_halfwidth

@@ -36,10 +36,12 @@ class SmootherConfig:
 class SampleSet:
     """N curves on a common grid together with a bound tau on their L2 norms.
 
-    The curves are held as one read-only (N, M) array of values on ``grid``.
-    tau is the quantity sensitivity bounds scale with.  By default (tau None)
-    it is recomputed from the data as the largest realized norm, which is
-    itself mildly disclosive; pass an explicit tau to bound the data a priori
+    The curves are held as one read-only (N, M) array of values on ``grid``,
+    row i being curve i; a set is built from such an array, directly or
+    through :meth:`from_values`, and read back through ``values``.  tau is
+    the quantity sensitivity bounds scale with.  By default (tau None) it is
+    recomputed from the data as the largest realized norm, which is itself
+    mildly disclosive; pass an explicit tau to bound the data a priori
     instead.
     """
 
@@ -70,17 +72,6 @@ class SampleSet:
         object.__setattr__(self, "tau", tau)
 
     @classmethod
-    def from_curves(cls, curves, tau: float | None = None) -> "SampleSet":
-        """Bundle curves sharing one grid, computing tau as the largest realized norm if absent."""
-        curves = tuple(curves)
-        if not curves:
-            raise ValueError("sample set needs at least one curve")
-        grid = curves[0].grid
-        if not all(c.grid.matches(grid) for c in curves):
-            raise ValueError("all curves must share one grid")
-        return cls(np.stack([c.values for c in curves]), grid, tau)
-
-    @classmethod
     def from_values(cls, values, grid: Grid, tau: float | None = None) -> "SampleSet":
         """Bundle an (N, M) array of curve values on a grid; a 1-D array is one curve."""
         return cls(np.atleast_2d(values), grid, tau)
@@ -88,11 +79,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def curves(self) -> tuple[Curve, ...]:
-        """The rows of ``values`` as curves, built on each access."""
-        return tuple(Curve(row, self.grid) for row in self.values)
 
 
 def shrinkage_factors(basis: SpectralBasis, cfg: SmootherConfig) -> np.ndarray:

@@ -4,8 +4,8 @@ The covariance operator acts on the weighted-L2 space of the grid as
 (C x)(t_i) = sum_k w_k G(t_i, t_k) x(t_k).  Its eigenpairs come from the
 equivalent symmetric problem  W^{1/2} G W^{1/2} u = lambda u  with
 eigenfunctions v = W^{-1/2} u, orthonormal under the grid weights.  The
-squared norm  sum_j c_j^2 / lambda_j^eta  of a coefficient vector is the
-quantity that controls how much Gaussian noise a release needs.
+squared Cameron-Martin norm  sum_j c_j^2 / lambda_j  of a coefficient vector
+is the quantity that controls how much Gaussian noise a release needs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ class SpectralBasis:
     eigenvalues are strictly positive and non-increasing; the columns of the
     read-only (grid size, m) ``matrix`` are the eigenfunction values,
     orthonormal in the weighted L2 inner product.  Instances may come from
-    :func:`decompose` or be handcrafted for small experiments through
-    :meth:`from_curves`, in which case ``spec`` is usually None.
+    :func:`decompose` or be handcrafted for small experiments from an
+    eigenvalue vector and such a matrix, in which case ``spec`` is usually
+    None.
     """
 
     eigenvalues: np.ndarray
@@ -68,26 +69,10 @@ class SpectralBasis:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "matrix", matrix)
 
-    @classmethod
-    def from_curves(
-        cls, eigenvalues, curves, grid: Grid, spec: KernelSpec | None = None
-    ) -> "SpectralBasis":
-        """Handcrafted basis from eigenvalues and eigenfunction curves on ``grid``."""
-        curves = tuple(curves)
-        if not all(c.grid.matches(grid) for c in curves):
-            raise ValueError("eigenfunctions must live on the basis grid")
-        matrix = np.array([c.values for c in curves], dtype=float).T
-        return cls(eigenvalues, matrix, grid, spec)
-
     @property
     def m(self) -> int:
         """Number of retained modes."""
         return self.eigenvalues.size
-
-    @property
-    def eigenfunctions(self) -> tuple[Curve, ...]:
-        """The columns of ``matrix`` as curves, built on each access."""
-        return tuple(Curve(self.matrix[:, j], self.grid) for j in range(self.m))
 
 
 def decompose(
@@ -154,18 +139,17 @@ def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> Curve:
     return Curve(basis.matrix @ coeffs, basis.grid)
 
 
-def cm_norm_sq(coeffs: np.ndarray, basis: SpectralBasis, eta: float = 1.0) -> float:
-    """Squared Cameron-Martin norm sum_j c_j^2 / lambda_j^eta.
+def cm_norm_sq(coeffs: np.ndarray, basis: SpectralBasis) -> float:
+    """Squared Cameron-Martin norm sum_j c_j^2 / lambda_j.
 
-    This is the norm under which the global sensitivity of a release is
-    measured; eta >= 1 selects the power of the covariance used as penalty.
+    This is the norm of the noise covariance C under which the global
+    sensitivity of a release is measured, whatever penalty exponent the
+    estimator used.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.m,):
         raise ValueError(f"expected {basis.m} coefficients, got {coeffs.shape}")
-    if eta < 1.0:
-        raise ValueError("eta must be at least 1")
-    return float(np.sum(coeffs**2 / basis.eigenvalues**eta))
+    return float(np.sum(coeffs**2 / basis.eigenvalues))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdpriv import Curve, KernelSpec, SpectralBasis, kernel_basis, uniform_grid
+from fdpriv import KernelSpec, SpectralBasis, kernel_basis, uniform_grid
 from fdpriv.rng import make_rng
 
 #: Spectrum used by the small handcrafted bases in several test modules.
@@ -17,15 +17,14 @@ def toy_basis(n_points=40, n_modes=5, seed=7, eigenvalues=TOY_EIGENVALUES) -> Sp
     grid = uniform_grid(n_points)
     q, _ = np.linalg.qr(make_rng(seed).standard_normal((n_points, n_modes)))
     mat = q * np.sqrt(n_points)
-    funcs = tuple(Curve(mat[:, j], grid) for j in range(n_modes))
-    return SpectralBasis.from_curves(np.asarray(eigenvalues, dtype=float), funcs, grid)
+    return SpectralBasis(np.asarray(eigenvalues, dtype=float), mat, grid)
 
 
 def two_point_basis(lam1=0.5, lam2=0.25) -> SpectralBasis:
     """Two-point basis with hand-checkable eigenpairs (1, 1) and (1, -1)."""
     grid = uniform_grid(2)
-    funcs = (Curve(np.array([1.0, 1.0]), grid), Curve(np.array([1.0, -1.0]), grid))
-    return SpectralBasis.from_curves(np.array([lam1, lam2]), funcs, grid)
+    mat = np.array([[1.0, 1.0], [1.0, -1.0]])  # columns (1, 1) and (1, -1)
+    return SpectralBasis(np.array([lam1, lam2]), mat, grid)
 
 
 @pytest.fixture(scope="session")

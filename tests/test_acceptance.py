@@ -7,7 +7,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from fdpriv import (
-    Curve,
     KernelSpec,
     PrivacyBudget,
     SimConfig,
@@ -55,8 +54,7 @@ def spectrum_basis(lams) -> SpectralBasis:
     lams = np.asarray(lams, dtype=float)
     grid = uniform_grid(max(len(lams), 2))
     mat = np.sqrt(grid.size) * np.eye(grid.size)[:, : len(lams)]
-    funcs = tuple(Curve(mat[:, j], grid) for j in range(len(lams)))
-    return SpectralBasis.from_curves(lams, funcs, grid)
+    return SpectralBasis(lams, mat, grid)
 
 
 def test_acceptance_01_sensitivity_maximizer():

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fdpriv import (
-    Curve,
     PrivacyBudget,
     PrivacyRefusalError,
     SpectralBasis,
@@ -28,8 +27,7 @@ def basis_with_eigenvalues(lams) -> SpectralBasis:
     grid = uniform_grid(max(len(lams), 2))
     m_pts = grid.size
     mat = np.sqrt(m_pts) * np.eye(m_pts)[:, : len(lams)]
-    funcs = tuple(Curve(mat[:, j], grid) for j in range(len(lams)))
-    return SpectralBasis.from_curves(lams, funcs, grid)
+    return SpectralBasis(lams, mat, grid)
 
 
 def test_budget_validation():
@@ -166,7 +164,7 @@ def test_projection_quadratic_form_never_exceeds_cm_norm():
         functionals = rng.normal(size=(k, basis.m))
         diff = rng.normal(size=basis.m)
         q = projection_quadratic_form(functionals, diff, basis)
-        assert q <= cm_norm_sq(diff, basis, eta=1.0) + 1e-8
+        assert q <= cm_norm_sq(diff, basis) + 1e-8
 
 
 def test_projection_quadratic_form_equality_for_full_rank():

@@ -49,8 +49,8 @@ def test_fold_partition_properties():
 def test_cv_score_perfect_fit_limit():
     grid = uniform_grid(2)
     basis = kernel_basis(KernelSpec("exponential", 1.0), grid)
-    v1 = basis.eigenfunctions[0]
-    data = SampleSet.from_curves([v1] * 4)
+    v1 = basis.matrix[:, 0]
+    data = SampleSet(np.tile(v1, (4, 1)), grid)
     score = cv_score(data, KernelSpec("exponential", 1.0), 1e-15, folds=2, fold_seed=0)
     assert score <= 1e-16
 
@@ -74,10 +74,10 @@ def test_cv_score_two_fold_hand_value():
     grid = uniform_grid(2)
     spec = KernelSpec("exponential", 1.0)
     basis = kernel_basis(spec, grid)
-    v1 = basis.eigenfunctions[0]  # (1, 1) with eigenvalue (1 + e^-1)/2
+    v1 = basis.matrix[:, 0]  # (1, 1) with eigenvalue (1 + e^-1)/2
     lam1 = (1.0 + math.exp(-1.0)) / 2.0
     assert basis.eigenvalues[0] == pytest.approx(lam1, rel=1e-14)
-    data = SampleSet.from_curves([v1, Curve(-v1.values, grid)])
+    data = SampleSet(np.stack([v1, -v1]), grid)
     phi = 0.3
     s = lam1 / (lam1 + phi)
     score = cv_score(data, spec, phi, folds=2, fold_seed=0)

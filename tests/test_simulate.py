@@ -6,6 +6,7 @@ from fdpriv import (
     SimConfig,
     coefficients,
     default_mean,
+    grid_from_points,
     kl_simulate,
     uniform_grid,
 )
@@ -24,6 +25,12 @@ def test_sim_config_validation():
         SimConfig(5, mean="ramp")
 
 
+def test_sim_config_refuses_custom_mean_name():
+    # a custom mean is passed as a Curve, so "custom" is no longer a name
+    with pytest.raises(ValueError):
+        SimConfig(5, mean="custom")
+
+
 def test_default_mean_values():
     grid = uniform_grid(101)  # includes t = 0.5 exactly
     mu = default_mean("sin_default", grid)
@@ -34,9 +41,7 @@ def test_default_mean_values():
     with pytest.raises(ValueError):
         default_mean("parabola", grid)
     with pytest.raises(ValueError):
-        default_mean("custom", grid)  # needs an explicit curve
-    custom = Curve(np.ones(101), grid)
-    assert default_mean("custom", grid, custom) is custom
+        default_mean("custom", grid)  # a mean curve goes into SimConfig directly
 
 
 def test_kl_simulate_deterministic():
@@ -54,8 +59,8 @@ def test_kl_simulate_score_range():
     data = kl_simulate(SimConfig(50, p=p, seed=7), basis)
     mu = default_mean("sin_default", basis.grid)
     decay = np.arange(1, basis.m + 1, dtype=float) ** (-p / 2.0)
-    for curve in data.curves:
-        c = coefficients(Curve(curve.values - mu.values, basis.grid), basis)
+    for row in data.values:
+        c = coefficients(Curve(row - mu.values, basis.grid), basis)
         scores = c / decay
         assert np.all(np.abs(scores) < w + 1e-12)
 
@@ -63,7 +68,7 @@ def test_kl_simulate_score_range():
 def test_kl_simulate_tau_is_attained_max_norm():
     basis = toy_basis()
     data = kl_simulate(SimConfig(30, seed=9), basis)
-    norms = [c.norm() for c in data.curves]
+    norms = [Curve(row, basis.grid).norm() for row in data.values]
     assert data.tau == max(norms)
     assert all(n <= data.tau for n in norms)
 
@@ -72,15 +77,14 @@ def test_kl_simulate_vanishing_scores():
     basis = toy_basis()
     data = kl_simulate(SimConfig(5, score_halfwidth=1e-300, seed=1), basis)
     mu = default_mean("sin_default", basis.grid)
-    for curve in data.curves:
-        assert np.abs(curve.values - mu.values).max() <= 1e-290
+    assert np.abs(data.values - mu.values).max() <= 1e-290
 
 
 def test_kl_simulate_curves_lie_in_mean_plus_span():
     basis = toy_basis()
     data = kl_simulate(SimConfig(1, seed=13), basis)
     mu = default_mean("sin_default", basis.grid)
-    deviation = Curve(data.curves[0].values - mu.values, basis.grid)
+    deviation = Curve(data.values[0] - mu.values, basis.grid)
     residual = deviation.values - basis.matrix @ coefficients(deviation, basis)
     assert float(np.sqrt(np.sum(basis.grid.weights * residual**2))) <= 1e-10
 
@@ -101,3 +105,6 @@ def test_kl_simulate_custom_mean_curve():
     custom = Curve(np.linspace(0.0, 0.5, basis.grid.size), basis.grid)
     data = kl_simulate(SimConfig(3, mean=custom, score_halfwidth=1e-300, seed=0), basis)
     assert np.abs(data.values - custom.values).max() <= 1e-290
+    other = grid_from_points(basis.grid.points**2)  # same size, other abscissae
+    with pytest.raises(ValueError, match="different grid"):
+        kl_simulate(SimConfig(3, mean=Curve(custom.values, other)), basis)

@@ -30,21 +30,19 @@ def test_smoother_config_validation():
 def test_sample_set_tau_from_data():
     grid = uniform_grid(8)
     rng = np.random.default_rng(1)
-    curves = [Curve(rng.normal(size=8), grid) for _ in range(4)]
-    data = SampleSet.from_curves(curves)
-    norms = [c.norm() for c in curves]
+    values = rng.normal(size=(4, 8))
+    data = SampleSet(values, grid)
+    norms = [Curve(row, grid).norm() for row in values]
     assert data.tau == max(norms)
     assert all(n <= data.tau for n in norms)
 
 
 def test_sample_set_rejects_violated_bound_and_mixed_grids():
     grid = uniform_grid(8)
-    big = Curve(np.full(8, 10.0), grid)
     with pytest.raises(ValueError):
-        SampleSet.from_curves([big], tau=1.0)
-    other = Curve(np.zeros(9), uniform_grid(9))
-    with pytest.raises(ValueError):
-        SampleSet.from_curves([big, other])
+        SampleSet(np.full((1, 8), 10.0), grid, tau=1.0)
+    with pytest.raises(ValueError):  # rows sampled on a 9-point grid
+        SampleSet(np.zeros((2, 9)), grid)
 
 
 def test_sample_set_from_values_validates_rows():
@@ -58,7 +56,7 @@ def test_sample_set_from_values_validates_rows():
         data.values[0, 0] = 1.0
     values[0, 0] = 99.0  # the sample keeps its own copy
     assert data.values[0, 0] != 99.0
-    norms = [c.norm() for c in data.curves]
+    norms = [Curve(row, grid).norm() for row in data.values]
     assert data.tau == max(norms)
     bad = values.copy()
     bad[2, 3] = np.nan
@@ -77,7 +75,7 @@ def test_penalized_mean_single_mode_closed_form():
     lam1 = basis.eigenvalues[0]
     c = 1.7
     phi = 0.05
-    data = SampleSet.from_curves([Curve(c * basis.matrix[:, 0], basis.grid)])
+    data = SampleSet.from_values(c * basis.matrix[:, 0], basis.grid)
     mu_hat = penalized_mean(data, basis, SmootherConfig(phi))
     expected = (lam1 / (lam1 + phi)) * c
     got = coefficients(mu_hat, basis)
@@ -145,7 +143,7 @@ def test_penalized_mean_output_is_compatible():
     mu_hat = penalized_mean(data, basis, SmootherConfig(0.02))
     report = compatibility_check(mu_hat, basis)
     assert report.compatible
-    assert np.isfinite(cm_norm_sq(coefficients(mu_hat, basis), basis, eta=1.0))
+    assert np.isfinite(cm_norm_sq(coefficients(mu_hat, basis), basis))
 
 
 def test_shrinkage_factors_between_zero_and_one():
@@ -188,7 +186,7 @@ def test_direct_solver_single_mode_closed_form():
     v1 = Curve(basis.matrix[:, 0], grid)
     phi = 0.2
     direct = penalized_mean_direct(
-        SampleSet.from_curves([v1]), basis, SmootherConfig(phi)
+        SampleSet.from_values(v1.values, grid), basis, SmootherConfig(phi)
     )
     lam1 = basis.eigenvalues[0]
     expected = (lam1 / (lam1 + phi)) * v1.values

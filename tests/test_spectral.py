@@ -120,31 +120,26 @@ def test_decompose_sign_convention(default_basis):
             assert col[lead] > 0
 
 
-def test_basis_from_curves_matches_decompose():
-    grid = uniform_grid(12)
-    basis = decompose(gram_matrix(KernelSpec("matern32", 0.2), grid), grid)
-    rebuilt = SpectralBasis.from_curves(basis.eigenvalues, basis.eigenfunctions, grid)
-    assert np.array_equal(rebuilt.matrix, basis.matrix)
-    assert np.array_equal(rebuilt.eigenvalues, basis.eigenvalues)
-    assert not rebuilt.matrix.flags.writeable
-
-
 def test_basis_construction_rejects_bad_inputs():
     grid = uniform_grid(2)
-    good = (Curve(np.array([1.0, 1.0]), grid), Curve(np.array([1.0, -1.0]), grid))
+    good = np.array([[1.0, 1.0], [1.0, -1.0]])  # columns (1, 1) and (1, -1)
+    basis = SpectralBasis(np.array([0.5, 0.25]), good, grid)
+    assert basis.matrix is not good and not basis.matrix.flags.writeable
     with pytest.raises(ValueError):  # not orthonormal under the weights
-        SpectralBasis.from_curves(np.array([0.5, 0.25]), (good[0], good[0]), grid)
+        SpectralBasis(np.array([0.5, 0.25]), good[:, [0, 0]], grid)
     with pytest.raises(ValueError):  # increasing eigenvalues
-        SpectralBasis.from_curves(np.array([0.25, 0.5]), good, grid)
+        SpectralBasis(np.array([0.25, 0.5]), good, grid)
     with pytest.raises(ValueError):  # non-positive eigenvalue
-        SpectralBasis.from_curves(np.array([0.5, 0.0]), good, grid)
+        SpectralBasis(np.array([0.5, 0.0]), good, grid)
     with pytest.raises(ValueError):  # count mismatch
-        SpectralBasis.from_curves(np.array([0.5]), good, grid)
+        SpectralBasis(np.array([0.5]), good, grid)
+    with pytest.raises(ValueError):  # columns sampled on a 3-point grid
+        SpectralBasis(np.array([0.5]), np.ones((3, 1)), grid)
 
 
 def test_coefficients_orthonormality():
     basis = toy_basis()
-    c = coefficients(basis.eigenfunctions[0], basis)
+    c = coefficients(Curve(basis.matrix[:, 0], basis.grid), basis)
     expected = np.zeros(basis.m)
     expected[0] = 1.0
     assert np.allclose(c, expected, atol=1e-12)
@@ -176,7 +171,7 @@ def test_coefficients_grid_mismatch_rejected():
 
 def test_reconstruct_round_trip():
     basis = toy_basis()
-    v2 = basis.eigenfunctions[1]
+    v2 = Curve(basis.matrix[:, 1], basis.grid)
     back = reconstruct(coefficients(v2, basis), basis)
     assert np.abs(back.values - v2.values).max() <= 1e-10
     assert np.all(reconstruct(np.zeros(basis.m), basis).values == 0.0)
@@ -191,14 +186,10 @@ def test_reconstruct_round_trip():
 def test_cm_norm_sq_examples():
     basis = two_point_basis(0.5, 0.25)
     e1 = np.array([1.0, 0.0])
-    assert cm_norm_sq(e1, basis, eta=1.0) == pytest.approx(1.0 / 0.5, rel=1e-14)
+    assert cm_norm_sq(e1, basis) == pytest.approx(1.0 / 0.5, rel=1e-14)
     assert cm_norm_sq(np.zeros(2), basis) == 0.0
-    # lambda = (0.5, 0.25), eta = 2: 1/0.25 + 1/0.0625 = 20
-    assert cm_norm_sq(np.array([1.0, 1.0]), basis, eta=2.0) == pytest.approx(
-        20.0, rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        cm_norm_sq(e1, basis, eta=0.5)
+    # lambda = (0.5, 0.25): 1/0.5 + 1/0.25 = 6
+    assert cm_norm_sq(np.array([1.0, 1.0]), basis) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_cm_norm_sq_quadratic_form_properties():
@@ -208,12 +199,11 @@ def test_cm_norm_sq_quadratic_form_properties():
         c = rng.normal(size=basis.m)
         d = rng.normal(size=basis.m)
         a = rng.uniform(0.1, 5.0)
-        eta = rng.choice([1.0, 1.5, 2.0])
-        assert cm_norm_sq(a * c, basis, eta) == pytest.approx(
-            a**2 * cm_norm_sq(c, basis, eta), rel=1e-12
+        assert cm_norm_sq(a * c, basis) == pytest.approx(
+            a**2 * cm_norm_sq(c, basis), rel=1e-12
         )
-        lhs = cm_norm_sq(c + d, basis, eta) + cm_norm_sq(c - d, basis, eta)
-        rhs = 2.0 * cm_norm_sq(c, basis, eta) + 2.0 * cm_norm_sq(d, basis, eta)
+        lhs = cm_norm_sq(c + d, basis) + cm_norm_sq(c - d, basis)
+        rhs = 2.0 * cm_norm_sq(c, basis) + 2.0 * cm_norm_sq(d, basis)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -224,14 +214,14 @@ def test_cm_norm_reproducing_identity():
     for _ in range(20):
         g = rng.normal(size=basis.m)
         h_coeffs = basis.eigenvalues * g
-        assert cm_norm_sq(h_coeffs, basis, eta=1.0) == pytest.approx(
+        assert cm_norm_sq(h_coeffs, basis) == pytest.approx(
             float(np.sum(basis.eigenvalues * g**2)), rel=1e-12
         )
 
 
 def test_compatibility_check_in_span():
     basis = toy_basis()
-    report = compatibility_check(basis.eigenfunctions[0], basis)
+    report = compatibility_check(Curve(basis.matrix[:, 0], basis.grid), basis)
     assert report.compatible and bool(report)
     assert report.residual_fraction <= 1e-20
     zero = Curve(np.zeros(basis.grid.size), basis.grid)
