@@ -20,9 +20,7 @@ from fdpriv import (
     derivative,
     kernel_basis,
     kl_simulate,
-    l2_norm,
     penalized_mean,
-    postprocess,
     release_function,
     release_projections,
     point_eval_functional,
@@ -64,11 +62,10 @@ print(f"\nsanitized evaluations at t = {np.round(eval_points, 3)}: "
 
 # post-processing is free: any transform of the released curve keeps the
 # guarantee
-norm_release = postprocess(release, l2_norm)
-deriv_release = postprocess(release, derivative)
-print(f"released L2 norm = {norm_release.value:.4f}")
+deriv = derivative(release.curve)
+print(f"released L2 norm = {release.curve.norm():.4f}")
 print(f"released derivative range = "
-      f"[{deriv_release.value.values.min():.2f}, {deriv_release.value.values.max():.2f}]")
+      f"[{deriv.values.min():.2f}, {deriv.values.max():.2f}]")
 
 # the raw sample mean has energy outside the basis span (it was never
 # smoothed), so releasing it is refused outright

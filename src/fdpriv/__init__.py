@@ -5,6 +5,10 @@ the Cameron-Martin norm of a chosen Gaussian-process noise, and releases the
 estimate (or functionals of it) with calibrated noise.  Includes a
 Karhunen-Loeve simulator, an empirical privacy auditor, and CV/PCV
 hyperparameter selection.
+
+Post-processing needs no API: any function of ``release.curve`` (its
+``norm()``, a ``derivative``, your own transform) keeps the release's
+guarantee, and ``release.meta`` carries the provenance alongside.
 """
 
 from .calibration import (
@@ -15,9 +19,7 @@ from .calibration import (
     calibrate,
     gs_closed_bound,
     gs_exact_bound,
-    gs_sup_maximizer,
     noise_scale,
-    projection_quadratic_form,
 )
 from .kernels import (
     Curve,
@@ -33,19 +35,15 @@ from .mechanism import (
     AuditReport,
     ReleaseMeta,
     SanitizedRelease,
-    TransformedRelease,
     density_log_ratio,
     derivative,
     dp_audit,
-    l2_norm,
     noise_energy,
-    postprocess,
     release_function,
     release_projections,
     sample_noise,
-    sup_norm,
 )
-from .rng import derive_seed, make_rng
+from .rng import make_rng
 from .selection import (
     SelectionGrid,
     cv_score,
@@ -69,7 +67,6 @@ from .spectral import (
     coefficients,
     compatibility_check,
     decompose,
-    k_gram,
     kernel_basis,
     point_eval_functional,
     reconstruct,
@@ -97,7 +94,6 @@ __all__ = [
     "SimConfig",
     "SmootherConfig",
     "SpectralBasis",
-    "TransformedRelease",
     "calibrate",
     "cm_norm_sq",
     "coefficients",
@@ -108,19 +104,15 @@ __all__ = [
     "default_mean",
     "density_log_ratio",
     "derivative",
-    "derive_seed",
     "dp_audit",
     "fold_partition",
     "gram_matrix",
     "grid_from_points",
     "gs_closed_bound",
     "gs_exact_bound",
-    "gs_sup_maximizer",
-    "k_gram",
     "kernel_basis",
     "kernel_eval",
     "kl_simulate",
-    "l2_norm",
     "make_rng",
     "noise_energy",
     "noise_scale",
@@ -128,13 +120,10 @@ __all__ = [
     "pcv_select",
     "penalized_mean",
     "point_eval_functional",
-    "postprocess",
-    "projection_quadratic_form",
     "reconstruct",
     "release_function",
     "release_projections",
     "sample_noise",
     "shrinkage_factors",
-    "sup_norm",
     "uniform_grid",
 ]

@@ -103,16 +103,6 @@ def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
     )
 
 
-def gs_sup_maximizer(phi: float, eta: float) -> float:
-    """Argmax of f(x) = x^(2 eta - 1) / (x^eta + phi)^2 over x > 0.
-
-    The maximum sits at x* = (phi (2 eta - 1))^(1/eta); plugging it into f
-    reproduces the closed-form bound.
-    """
-    _validate_gs_args(phi, eta, 0.0, 1)
-    return (phi * (2.0 * eta - 1.0)) ** (1.0 / eta)
-
-
 def noise_scale(budget: PrivacyBudget, delta_sq: float) -> float:
     """Minimal compliant noise variance 2 log(2/delta) / epsilon^2 * delta_sq."""
     if delta_sq < 0.0:
@@ -153,25 +143,3 @@ def calibrate(
         delta=budget.delta,
     )
 
-
-def projection_quadratic_form(
-    functionals: np.ndarray, delta_coeffs: np.ndarray, basis: SpectralBasis
-) -> float:
-    """Quadratic form (nu - nu')^T K^+ (nu - nu') for a batch of functionals.
-
-    nu - nu' are the functional values of the coefficient difference
-    delta_coeffs, and K is the functionals' dual-space Gram matrix.  The form
-    never exceeds the squared Cameron-Martin norm of the difference, which is
-    why a finite batch of functional releases costs no more noise than the
-    full function.  Singular values of K below 1e-10 of the largest are
-    treated as zero in the pseudoinverse.
-    """
-    from .spectral import k_gram
-
-    f = np.atleast_2d(np.asarray(functionals, dtype=float))
-    delta_coeffs = np.asarray(delta_coeffs, dtype=float)
-    if delta_coeffs.shape != (basis.m,):
-        raise ValueError(f"expected {basis.m} coefficients")
-    gram = k_gram(f, basis)
-    diff = f @ delta_coeffs
-    return float(diff @ np.linalg.pinv(gram, rcond=1e-10) @ diff)

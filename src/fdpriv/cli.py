@@ -42,9 +42,12 @@ SWEEP_PARAMETERS = ("phi", "rho", "kernel", "p", "epsilon", "delta", "n", "mean"
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"numeric list {text!r} has no values")
+    return values
 
 
 def _str_list(text: str) -> list[str]:
@@ -270,7 +273,10 @@ def _sweep_values(parameter: str, raw: str):
     if parameter in ("kernel", "mean"):
         return _str_list(raw)
     if parameter == "n":
-        return [int(float(v)) for v in _float_list(raw)]
+        values = _float_list(raw)
+        if not all(v.is_integer() for v in values):
+            raise ValueError(f"sweep over n needs whole numbers, got {raw!r}")
+        return [int(v) for v in values]
     return _float_list(raw)
 
 
@@ -438,7 +444,7 @@ def main(argv=None) -> int:
     except (DegenerateKernelError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (CsvFormatError, ValueError, OSError) as exc:
+    except (CsvFormatError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

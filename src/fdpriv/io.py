@@ -1,4 +1,4 @@
-"""File formats: curve CSV, key=value metadata sidecars, basis export.
+"""File formats: curve CSV, key=value metadata sidecars, long-format CSV.
 
 Curve CSV contract: first row holds the grid points, each later row one
 curve; comma separated, '.' decimal separator, LF line endings, no header.
@@ -14,7 +14,6 @@ from typing import Mapping
 import numpy as np
 
 from .kernels import Grid, grid_from_points
-from .spectral import SpectralBasis
 
 
 class CsvFormatError(ValueError):
@@ -101,16 +100,6 @@ def read_meta(path) -> dict[str, str]:
             key, _, value = line.partition("=")
             entries[key] = value
     return entries
-
-
-def write_basis_csv(path, basis: SpectralBasis) -> None:
-    """Export a basis for plotting: one row per mode, index then eigenvalue
-    then the eigenfunction values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for j in range(basis.m):
-            cells = [str(j + 1), format_float(basis.eigenvalues[j])]
-            cells += [format_float(v) for v in basis.matrix[:, j]]
-            fh.write(",".join(cells) + "\n")
 
 
 def write_long_csv(path, header: list[str], rows) -> None:

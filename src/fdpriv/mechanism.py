@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable
 
 import numpy as np
 
@@ -59,14 +58,6 @@ class SanitizedRelease:
     meta: ReleaseMeta
     curve: Curve | None = None
     projections: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class TransformedRelease:
-    """Result of post-processing a release; inherits the privacy metadata."""
-
-    value: object
-    meta: ReleaseMeta
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ def release_projections(
     """Release a batch of linear functionals evaluated on one shared noisy curve.
 
     Sharing a single draw across functionals gives the jointly Gaussian law
-    with covariance sigma_sq * K (K the functionals' dual Gram matrix) and
+    with covariance sigma_sq * F diag(lambda) F^T (F the functionals) and
     keeps projection releases consistent with a full-function release under
     the same seed.
     """
@@ -184,27 +175,6 @@ def release_projections(
     full = release_function(mu_hat, basis, calib, seed, timestamp)
     values = f @ coefficients(full.curve, basis)
     return SanitizedRelease(full.meta, projections=values)
-
-
-def postprocess(release: SanitizedRelease, transform: Callable) -> TransformedRelease:
-    """Apply a deterministic transform of the released curve only.
-
-    The transform receives the sanitized curve and nothing else, so whatever
-    it computes inherits the release's privacy guarantee unchanged.
-    """
-    if release.curve is None:
-        raise ValueError("postprocess needs a full-function release")
-    return TransformedRelease(transform(release.curve), release.meta)
-
-
-def l2_norm(curve: Curve) -> float:
-    """Weighted L2 norm of a curve (postprocess built-in)."""
-    return curve.norm()
-
-
-def sup_norm(curve: Curve) -> float:
-    """Largest absolute value on the grid (postprocess built-in)."""
-    return float(np.max(np.abs(curve.values)))
 
 
 def derivative(curve: Curve) -> Curve:

@@ -183,21 +183,6 @@ def compatibility_check(x: Curve, basis: SpectralBasis) -> CompatibilityReport:
     return CompatibilityReport(compatible, fraction)
 
 
-def k_gram(functionals: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Gram matrix of linear functionals in the dual (covariance) inner product.
-
-    A functional is a length-m coefficient vector f acting as
-    f(x) = sum_j f_j <x, v_j>; the dual inner product is
-    <f, g> = sum_j lambda_j f_j g_j.
-    """
-    f = np.atleast_2d(np.asarray(functionals, dtype=float))
-    if f.shape[1] != basis.m:
-        raise ValueError(f"functionals must have {basis.m} coefficients")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("functional coefficients must be finite")
-    return (f * basis.eigenvalues) @ f.T
-
-
 def point_eval_functional(basis: SpectralBasis, t: float) -> np.ndarray:
     """Coefficient vector of the point-evaluation functional at a grid point."""
     idx = np.nonzero(np.isclose(basis.grid.points, t, rtol=0.0, atol=1e-12))[0]

@@ -1,8 +1,20 @@
-"""Independent reference implementations the tests check the package against."""
+"""Independent reference implementations the tests check the package against.
+
+Besides the dense-solve smoother oracle, this module holds the formulas that
+only the tests need: the closed-form sensitivity maximizer, the dual Gram
+matrix of a batch of functionals and its quadratic form, and the hashed
+substream seeds of the Monte-Carlo acceptance studies.
+"""
+
+import hashlib
+import struct
 
 import numpy as np
 
 from fdpriv import Curve, SampleSet, SmootherConfig, SpectralBasis, gram_matrix
+from fdpriv.calibration import _validate_gs_args
+
+_MASK64 = (1 << 64) - 1
 
 
 def penalized_mean_direct(
@@ -34,3 +46,71 @@ def penalized_mean_direct(
     rhs = sym_eta @ (sqrt_w * xbar)
     solution = np.linalg.solve(sym_eta + cfg.phi * np.eye(grid.size), rhs)
     return Curve(solution / sqrt_w, grid)
+
+
+def gs_sup_maximizer(phi: float, eta: float) -> float:
+    """Argmax of f(x) = x^(2 eta - 1) / (x^eta + phi)^2 over x > 0.
+
+    The maximum sits at x* = (phi (2 eta - 1))^(1/eta); plugging it into f
+    reproduces the closed-form bound.
+    """
+    _validate_gs_args(phi, eta, 0.0, 1)
+    return (phi * (2.0 * eta - 1.0)) ** (1.0 / eta)
+
+
+def k_gram(functionals: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """Gram matrix of linear functionals in the dual (covariance) inner product.
+
+    A functional is a length-m coefficient vector f acting as
+    f(x) = sum_j f_j <x, v_j>; the dual inner product is
+    <f, g> = sum_j lambda_j f_j g_j.
+    """
+    f = np.atleast_2d(np.asarray(functionals, dtype=float))
+    if f.shape[1] != basis.m:
+        raise ValueError(f"functionals must have {basis.m} coefficients")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("functional coefficients must be finite")
+    return (f * basis.eigenvalues) @ f.T
+
+
+def projection_quadratic_form(
+    functionals: np.ndarray, delta_coeffs: np.ndarray, basis: SpectralBasis
+) -> float:
+    """Quadratic form (nu - nu')^T K^+ (nu - nu') for a batch of functionals.
+
+    nu - nu' are the functional values of the coefficient difference
+    delta_coeffs, and K is the functionals' dual-space Gram matrix.  The form
+    never exceeds the squared Cameron-Martin norm of the difference, which is
+    why a finite batch of functional releases costs no more noise than the
+    full function.  Singular values of K below 1e-10 of the largest are
+    treated as zero in the pseudoinverse.
+    """
+    f = np.atleast_2d(np.asarray(functionals, dtype=float))
+    delta_coeffs = np.asarray(delta_coeffs, dtype=float)
+    if delta_coeffs.shape != (basis.m,):
+        raise ValueError(f"expected {basis.m} coefficients")
+    gram = k_gram(f, basis)
+    diff = f @ delta_coeffs
+    return float(diff @ np.linalg.pinv(gram, rcond=1e-10) @ diff)
+
+
+def derive_seed(base: int, *parts) -> int:
+    """Hash (base, parts) into a fresh 64-bit substream seed.
+
+    Parts may be ints, floats, or strings; floats are hashed through their
+    IEEE-754 bits so equal values map to the same substream no matter how they
+    were produced (e.g. the same grid value listed in a different order).
+    """
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<Q", int(base) & _MASK64))
+    for part in parts:
+        if isinstance(part, bool):
+            h.update(b"b" + bytes([part]))
+        elif isinstance(part, int):
+            h.update(b"i" + struct.pack("<q", part))
+        elif isinstance(part, float):
+            h.update(b"f" + struct.pack("<d", part))
+        else:
+            data = str(part).encode("utf-8")
+            h.update(b"s" + struct.pack("<I", len(data)) + data)
+    return int.from_bytes(h.digest(), "little")

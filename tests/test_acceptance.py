@@ -19,13 +19,11 @@ from fdpriv import (
     dp_audit,
     gs_closed_bound,
     gs_exact_bound,
-    gs_sup_maximizer,
     kernel_basis,
     kl_simulate,
     noise_scale,
     pcv_select,
     penalized_mean,
-    projection_quadratic_form,
     reconstruct,
     sample_noise,
     SampleSet,
@@ -36,10 +34,15 @@ from fdpriv import (
 )
 from fdpriv.cli import main
 from fdpriv.io import write_curves_csv
-from fdpriv.rng import derive_seed, make_rng
+from fdpriv.rng import make_rng
 
 from conftest import toy_basis
-from oracles import penalized_mean_direct
+from oracles import (
+    derive_seed,
+    gs_sup_maximizer,
+    penalized_mean_direct,
+    projection_quadratic_form,
+)
 
 BUDGET = PrivacyBudget(1.0, 0.1)
 

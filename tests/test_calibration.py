@@ -12,13 +12,12 @@ from fdpriv import (
     cm_norm_sq,
     gs_closed_bound,
     gs_exact_bound,
-    gs_sup_maximizer,
     noise_scale,
-    projection_quadratic_form,
     uniform_grid,
 )
 
 from conftest import toy_basis, two_point_basis
+from oracles import gs_sup_maximizer, projection_quadratic_form
 
 
 def basis_with_eigenvalues(lams) -> SpectralBasis:

@@ -183,6 +183,39 @@ def test_sweep_n_decreases_noise(tmp_path):
     assert noise[0] > noise[1] > noise[2]
 
 
+def test_sweep_n_refuses_non_integral_values(tmp_path, capsys):
+    out = tmp_path / "sweep_n.csv"
+    assert run("sweep", "--sweep", "n", "--values", "2.5,10", "--grid-points", "20",
+               "--output", str(out)) == 2
+    assert "whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+    plain, sci = tmp_path / "plain.csv", tmp_path / "sci.csv"
+    common = ["sweep", "--sweep", "n", "--grid-points", "20", "--seed", "4"]
+    assert run(*common, "--values", "10,100", "--output", str(plain)) == 0
+    assert run(*common, "--values", "10,1e2", "--output", str(sci)) == 0
+    assert plain.read_bytes() == sci.read_bytes()
+    assert plain.read_text(encoding="utf-8").splitlines()[-1].startswith("n,100,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # refused while parsing, before the (absent) input file is opened
+        ["projections", "--input", "absent.csv", "--at", ""],
+        ["cv", "--input", "absent.csv", "--rho-grid", ""],
+        ["pcv", "--input", "absent.csv", "--phi-grid", "", "--rho-grid", "0.001"],
+        ["pcv", "--input", "absent.csv", "--phi-grid", "0.01", "--rho-grid", ","],
+        ["sweep", "--sweep", "phi", "--values", ""],
+        ["sweep", "--sweep", "phi", "--values", "a"],
+    ],
+)
+def test_empty_or_bad_numeric_lists_are_config_errors(tmp_path, capsys, argv):
+    assert run(*argv, "--output", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "numeric list" in err
+    assert "stack" not in err and "argmin" not in err
+
+
 def test_every_subcommand_reruns_byte_identically(tmp_path):
     grid = uniform_grid(25)
     rng = np.random.default_rng(11)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from fdpriv import KernelSpec, kernel_basis, uniform_grid
+from fdpriv import uniform_grid
 from fdpriv.io import (
     CsvFormatError,
     format_float,
     read_curves_csv,
     read_meta,
-    write_basis_csv,
     write_curves_csv,
     write_meta,
 )
@@ -74,15 +73,3 @@ def test_meta_round_trip_and_key_order(tmp_path):
     assert lines == ["alpha=text", "flag=true", "mid=7", "zeta=1.5"]
     parsed = read_meta(path)
     assert parsed["zeta"] == "1.5" and parsed["flag"] == "true"
-
-
-def test_basis_export_format(tmp_path):
-    basis = kernel_basis(KernelSpec("gaussian", 0.1), uniform_grid(12))
-    path = tmp_path / "basis.csv"
-    write_basis_csv(path, basis)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == basis.m
-    first = lines[0].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == basis.eigenvalues[0]
-    assert len(first) == 2 + basis.grid.size

@@ -14,19 +14,16 @@ from fdpriv import (
     density_log_ratio,
     derivative,
     dp_audit,
-    k_gram,
-    l2_norm,
     noise_scale,
     point_eval_functional,
-    postprocess,
     reconstruct,
     release_function,
     release_projections,
     sample_noise,
-    sup_norm,
 )
 
 from conftest import toy_basis
+from oracles import k_gram
 
 BUDGET = PrivacyBudget(1.0, 0.1)
 
@@ -178,27 +175,12 @@ def test_release_projections_rejects_nonfinite_functional():
         release_projections(mu_hat, bad, basis, make_calibration(0.1, basis), 0)
 
 
-def test_postprocess_builtins():
-    basis = toy_basis()
-    mu_hat = reconstruct(np.array([0.5, 0.25, 0.0, 0.0, -0.1]), basis)
-    release = release_function(mu_hat, basis, make_calibration(0.0, basis), 0)
-    ident = postprocess(release, lambda c: c)
-    assert np.array_equal(ident.value.values, release.curve.values)
-    assert ident.meta is release.meta
-
-    zero = release_function(
-        reconstruct(np.zeros(basis.m), basis), basis, make_calibration(0.0, basis), 0
-    )
-    assert postprocess(zero, l2_norm).value == 0.0
-    assert postprocess(zero, sup_norm).value == 0.0
-
-
-def test_postprocess_derivative_matches_centered_differences():
+def test_derivative_matches_centered_differences():
     basis = toy_basis()
     release = release_function(
         reconstruct(np.eye(basis.m)[0], basis), basis, make_calibration(0.0, basis), 0
     )
-    deriv = postprocess(release, derivative).value
+    deriv = derivative(release.curve)
     t = basis.grid.points
     vals = basis.matrix[:, 0]
     expected = np.empty_like(vals)

