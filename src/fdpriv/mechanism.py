@@ -11,6 +11,7 @@ epsilon with probability at most delta.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -21,7 +22,9 @@ from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_che
 from .rng import make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
-_AUDIT_CHUNK = 1 << 16
+# Standard normals per audit chunk (16 MB of float64): a chunk's rows times
+# the mode count stay near this at any m, which bounds each thread's memory.
+_AUDIT_CHUNK_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,28 @@ def _log_ratio(
     lam = basis.eigenvalues
     slope = (cd - cdp) / lam / sigma_sq
     const = -(np.sum(cd**2 / lam) - np.sum(cdp**2 / lam)) / (2.0 * sigma_sq)
-    return const + cx @ slope
+    # einsum rather than BLAS gemv: the audit calls this from several threads
+    # at once, and a threaded BLAS inside each would oversubscribe the cores.
+    return const + np.einsum("...j,j->...", cx, slope)
+
+
+def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
+    """Refuse a noise variance that is NaN, infinite, negative, or zero unless zero_ok."""
+    if not math.isfinite(sigma_sq) or sigma_sq < 0.0 or (sigma_sq == 0.0 and not zero_ok):
+        bound = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"sigma_sq must be finite and {bound}, got {sigma_sq}")
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     """One draw of the scaled Gaussian process, deterministic in the seed."""
-    if sigma_sq < 0.0:
-        raise ValueError("sigma_sq must be non-negative")
+    _check_sigma_sq(sigma_sq, zero_ok=True)
     coeffs = _noise_coefficients(basis, sigma_sq, make_rng(seed))
     return Curve(basis.matrix @ coeffs, basis.grid)
 
@@ -123,8 +141,7 @@ def noise_energy(basis: SpectralBasis, sigma_sq: float) -> float:
     release adds in expectation to the squared L2 distance between its
     estimate and any fixed curve.
     """
-    if sigma_sq < 0.0:
-        raise ValueError("sigma_sq must be non-negative")
+    _check_sigma_sq(sigma_sq, zero_ok=True)
     return sigma_sq * float(np.sum(basis.eigenvalues))
 
 
@@ -194,8 +211,7 @@ def density_log_ratio(
     Both centers must lie in the basis span; the ratio is evaluated on x's
     basis coefficients.
     """
-    if sigma_sq <= 0.0:
-        raise ValueError("sigma_sq must be positive")
+    _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
     cdp = _span_coefficients(theta_dp, basis, "theta_dp")
     return float(_log_ratio(coefficients(x, basis), cd, cdp, basis, sigma_sq))
@@ -218,29 +234,43 @@ def dp_audit(
     the calibrated minimum for this pair is flagged as undercalibrated (the
     audit still runs and is expected to fail).  The direction is the argument
     order: pass the summaries swapped to audit the opposite direction.
+
+    The samples come in fixed-size chunks of about 2**21 standard normals;
+    chunk k draws from its own child stream ``make_rng(seed).spawn(n)[k]``
+    through the release's noise path, and the chunks run in parallel on the
+    usable cores.  The report therefore depends only on (seed, n_samples,
+    basis.m), never on the core count.  Releases draw from
+    ``make_rng(seed)`` itself, not from these child streams.
     """
     if n_samples < _AUDIT_MIN_SAMPLES:
         raise ValueError(f"audit needs at least {_AUDIT_MIN_SAMPLES} samples")
-    if sigma_sq <= 0.0:
-        raise ValueError("sigma_sq must be positive")
+    _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
     cdp = _span_coefficients(theta_dp, basis, "theta_dp")
     minimum = noise_scale(budget, cm_norm_sq(cd - cdp, basis))
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
 
-    rng = make_rng(seed)
-    violations = 0
-    remaining = int(n_samples)
-    while remaining > 0:
-        block = min(remaining, _AUDIT_CHUNK)
-        cx = cd + _noise_coefficients(basis, sigma_sq, rng, (block,))
+    n_samples = int(n_samples)
+    rows = max(1, _AUDIT_CHUNK_VALUES // basis.m)
+    streams = make_rng(seed).spawn(-(-n_samples // rows))
+
+    def violations(k: int) -> int:
+        block = min(rows, n_samples - k * rows)
+        cx = cd + _noise_coefficients(basis, sigma_sq, streams[k], (block,))
         log_ratio = _log_ratio(cx, cd, cdp, basis, sigma_sq)
-        violations += int(np.count_nonzero(log_ratio > budget.epsilon))
-        remaining -= block
-    rate = violations / n_samples
+        return int(np.count_nonzero(log_ratio > budget.epsilon))
+
+    # Imported here so that only audits pay for loading concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # numpy's samplers and ufuncs release the GIL, so the chunks overlap.
+    workers = min(_usable_cores(), len(streams))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        total = sum(pool.map(violations, range(len(streams))))
+    rate = total / n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / n_samples)
     return AuditReport(
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         epsilon=budget.epsilon,
         delta=budget.delta,
         empirical_violation_rate=rate,

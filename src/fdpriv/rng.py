@@ -1,4 +1,11 @@
-"""Deterministic random streams shared by every sampling routine."""
+"""Deterministic random streams shared by every sampling routine.
+
+Releases, simulations and fold splits draw from ``make_rng(seed)`` itself.
+The privacy audit draws each fixed-size chunk of its Monte-Carlo sample from
+its own child stream, ``make_rng(seed).spawn(n_chunks)[k]``, so that chunks
+can run in parallel and the audit's result depends only on the seed, the
+sample count and the mode count, never on how many cores ran it.
+"""
 
 from __future__ import annotations
 

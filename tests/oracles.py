@@ -2,8 +2,9 @@
 
 Besides the dense-solve smoother oracle, this module holds the formulas that
 only the tests need: the closed-form sensitivity maximizer, the dual Gram
-matrix of a batch of functionals and its quadratic form, and the hashed
-substream seeds of the Monte-Carlo acceptance studies.
+matrix of a batch of functionals and its quadratic form, the hashed
+substream seeds of the Monte-Carlo acceptance studies, and a serial replay of
+the privacy audit.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import numpy as np
 
 from fdpriv import Curve, SampleSet, SmootherConfig, SpectralBasis, gram_matrix
 from fdpriv.calibration import _validate_gs_args
+from fdpriv.rng import make_rng
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,3 +116,34 @@ def derive_seed(base: int, *parts) -> int:
             data = str(part).encode("utf-8")
             h.update(b"s" + struct.pack("<I", len(data)) + data)
     return int.from_bytes(h.digest(), "little")
+
+
+def audit_violations_serial(
+    cd: np.ndarray,
+    cdp: np.ndarray,
+    eigenvalues: np.ndarray,
+    sigma_sq: float,
+    epsilon: float,
+    n_samples: int,
+    seed: int,
+) -> int:
+    """Violation count of ``dp_audit``, replayed chunk by chunk on one thread.
+
+    Walks the audit's child streams ``make_rng(seed).spawn(n_chunks)`` with
+    chunks of max(1, 2**21 // m) rows (the last one short), draws releases
+    x = cd + sigma * sqrt(lambda) * xi in coefficient space, and scores each
+    by the Cameron-Martin form of the Gaussian log density ratio,
+    (||x - cdp||^2 - ||x - cd||^2) / (2 sigma^2) with ||c||^2 = sum c_j^2 / lambda_j.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    rows = max(1, 2**21 // lam.size)
+    n_chunks = -(-n_samples // rows)
+    count = 0
+    for k, rng in enumerate(make_rng(seed).spawn(n_chunks)):
+        block = min(rows, n_samples - k * rows)
+        x = cd + np.sqrt(sigma_sq * lam) * rng.standard_normal((block, lam.size))
+        ratio = (
+            np.sum((x - cdp) ** 2 / lam, axis=1) - np.sum((x - cd) ** 2 / lam, axis=1)
+        ) / (2.0 * sigma_sq)
+        count += int(np.count_nonzero(ratio > epsilon))
+    return count

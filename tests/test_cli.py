@@ -130,6 +130,22 @@ def test_audit_calibrated_pair_passes(tmp_path):
     assert meta["undercalibrated"] == "false"
 
 
+@pytest.mark.parametrize("sigma_sq", ["nan", "inf"])
+def test_audit_non_finite_sigma_sq_is_config_error(tmp_path, capsys, sigma_sq):
+    grid = uniform_grid(30)
+    basis = kernel_basis(KernelSpec("gaussian", 0.05), grid)
+    theta = reconstruct(0.3 * np.eye(basis.m)[0], basis)
+    d_path, dp_path = tmp_path / "d.csv", tmp_path / "dp.csv"
+    write_curves_csv(d_path, grid, theta.values)
+    write_curves_csv(dp_path, grid, -theta.values)
+    report = tmp_path / "audit.txt"
+    assert run("audit", "--theta-d", str(d_path), "--theta-dp", str(dp_path),
+               "--rho", "0.05", "--sigma-sq", sigma_sq, "--samples", "10000",
+               "--output", str(report)) == 2
+    assert "sigma_sq must be finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cv_single_candidate_echoed(tmp_path):
     sample = tmp_path / "sample.csv"
     assert run("simulate", "--n", "6", "--grid-points", "30", "--seed", "2",
@@ -255,8 +271,18 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
                 assert f1.read() == f2.read(), name
 
 
-def test_import_does_not_load_scipy():
+def _import_fdpriv_loads(module: str) -> bool:
+    """Whether a fresh ``import fdpriv`` pulls in ``module``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import fdpriv, sys; assert 'scipy' not in sys.modules"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import fdpriv, sys; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
+def test_import_does_not_load_scipy():
+    assert not _import_fdpriv_loads("scipy")
+
+
+def test_import_does_not_load_concurrent_futures():
+    # Only the audit's thread pool needs it; every other CLI call skips its cost.
+    assert not _import_fdpriv_loads("concurrent.futures")

@@ -14,6 +14,7 @@ from fdpriv import (
     density_log_ratio,
     derivative,
     dp_audit,
+    noise_energy,
     noise_scale,
     point_eval_functional,
     reconstruct,
@@ -22,8 +23,10 @@ from fdpriv import (
     sample_noise,
 )
 
+import fdpriv.mechanism as mechanism
+
 from conftest import toy_basis
-from oracles import k_gram
+from oracles import audit_violations_serial, k_gram
 
 BUDGET = PrivacyBudget(1.0, 0.1)
 
@@ -329,3 +332,49 @@ def test_dp_audit_rejects_small_sample_count():
     theta = reconstruct(np.zeros(basis.m), basis)
     with pytest.raises(ValueError):
         dp_audit(theta, theta, basis, BUDGET, 0.5, 5000, seed=0)
+
+
+@pytest.mark.parametrize("sigma_sq", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda theta, basis, s: dp_audit(theta, theta, basis, BUDGET, s, 10_000),
+    lambda theta, basis, s: sample_noise(basis, s, seed=0),
+    lambda theta, basis, s: noise_energy(basis, s),
+    lambda theta, basis, s: density_log_ratio(theta, theta, theta, basis, s),
+], ids=["dp_audit", "sample_noise", "noise_energy", "density_log_ratio"])
+def test_non_finite_sigma_sq_is_refused(call, sigma_sq):
+    basis = toy_basis()
+    theta = reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis)
+    with pytest.raises(ValueError, match="sigma_sq must be finite"):
+        call(theta, basis, sigma_sq)
+
+
+def _chunked_audit_case():
+    """A 100-mode pair at 0.05x its calibrated noise, audited over 3 chunks plus 17 rows."""
+    basis = toy_basis(n_points=120, n_modes=100, seed=13,
+                      eigenvalues=tuple(0.5 * 0.95**k for k in range(100)))
+    rng = np.random.default_rng(81)
+    cd = rng.normal(size=basis.m)
+    cdp = cd + 0.4 * rng.normal(size=basis.m)
+    sigma_sq = 0.05 * noise_scale(BUDGET, cm_norm_sq(cd - cdp, basis))
+    n_samples = 3 * (2**21 // basis.m) + 17
+    return basis, cd, cdp, sigma_sq, n_samples
+
+
+def test_dp_audit_matches_serial_oracle_across_chunks():
+    basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
+    report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
+                      sigma_sq, n, seed=5)
+    expected = audit_violations_serial(cd, cdp, basis.eigenvalues, sigma_sq,
+                                       BUDGET.epsilon, n, seed=5)
+    assert 0 < expected < n
+    assert report.empirical_violation_rate == expected / n
+
+
+def test_dp_audit_report_independent_of_worker_count(monkeypatch):
+    basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
+    centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(mechanism, "_usable_cores", lambda: workers)
+        reports.append(dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=6))
+    assert reports[0] == reports[1]
