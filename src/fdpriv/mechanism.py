@@ -22,9 +22,15 @@ from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_che
 from .rng import make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
-# Standard normals per audit chunk (16 MB of float64): a chunk's rows times
-# the mode count stay near this at any m, which bounds each thread's memory.
+# Standard normals per audit chunk: chunk k of max(1, 2**21 // m) rows draws
+# from child stream k, so this constant fixes the stream layout, and with it
+# every report.  It fixes nothing else; the block below bounds memory.
 _AUDIT_CHUNK_VALUES = 1 << 21
+# Standard normals per block (1 MB of float64): a chunk is drawn and scored
+# block by block through one reused buffer, so a worker's memory does not
+# grow with n_samples.  Consecutive fills of one Generator give the values of
+# a single fill, so the block size changes no report.
+_AUDIT_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,16 @@ class AuditReport:
 
 
 def _noise_coefficients(
-    basis: SpectralBasis, sigma_sq: float, rng: np.random.Generator, rows: tuple = ()
+    basis: SpectralBasis, sigma_sq: float, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Basis coefficients sigma * sqrt(lambda_j) * xi_j of noise draws, shape rows + (m,)."""
-    xi = rng.standard_normal((*rows, basis.m))
-    return math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues) * xi
+    """Basis coefficients sigma * sqrt(lambda_j) * xi_j of noise draws.
+
+    Returns one fresh draw of shape (m,), or fills ``out`` (shape (rows, m))
+    with rows draws in place and returns it.
+    """
+    xi = rng.standard_normal(basis.m) if out is None else rng.standard_normal(out=out)
+    xi *= math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues)
+    return xi
 
 
 def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
@@ -238,8 +249,10 @@ def dp_audit(
     The samples come in fixed-size chunks of about 2**21 standard normals;
     chunk k draws from its own child stream ``make_rng(seed).spawn(n)[k]``
     through the release's noise path, and the chunks run in parallel on the
-    usable cores.  The report therefore depends only on (seed, n_samples,
-    basis.m), never on the core count.  Releases draw from
+    usable cores.  Each chunk is drawn and scored in blocks of about 2**17
+    values through one reused buffer, so memory per worker does not depend
+    on n_samples.  The report depends only on (seed, n_samples, basis.m),
+    never on the core count or the block size.  Releases draw from
     ``make_rng(seed)`` itself, not from these child streams.
     """
     if n_samples < _AUDIT_MIN_SAMPLES:
@@ -252,13 +265,19 @@ def dp_audit(
 
     n_samples = int(n_samples)
     rows = max(1, _AUDIT_CHUNK_VALUES // basis.m)
+    block_rows = max(1, _AUDIT_BLOCK_VALUES // basis.m)
     streams = make_rng(seed).spawn(-(-n_samples // rows))
 
     def violations(k: int) -> int:
-        block = min(rows, n_samples - k * rows)
-        cx = cd + _noise_coefficients(basis, sigma_sq, streams[k], (block,))
-        log_ratio = _log_ratio(cx, cd, cdp, basis, sigma_sq)
-        return int(np.count_nonzero(log_ratio > budget.epsilon))
+        chunk = min(rows, n_samples - k * rows)
+        buf = np.empty((min(block_rows, chunk), basis.m))
+        count = 0
+        for start in range(0, chunk, len(buf)):
+            cx = _noise_coefficients(basis, sigma_sq, streams[k], buf[: chunk - start])
+            cx += cd
+            log_ratio = _log_ratio(cx, cd, cdp, basis, sigma_sq)
+            count += int(np.count_nonzero(log_ratio > budget.epsilon))
+        return count
 
     # Imported here so that only audits pay for loading concurrent.futures.
     from concurrent.futures import ThreadPoolExecutor

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fdpriv import (
 )
 
 import fdpriv.mechanism as mechanism
+from fdpriv.rng import make_rng
 
 from conftest import toy_basis
 from oracles import audit_violations_serial, k_gram
@@ -54,6 +56,14 @@ def test_sample_noise_deterministic_in_seed():
     c = sample_noise(basis, 0.7, seed=12)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_sample_noise_is_the_scaled_seeded_draw():
+    basis = toy_basis()
+    sigma_sq = 0.7
+    xi = make_rng(11).standard_normal(basis.m)
+    expected = basis.matrix @ (math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues) * xi)
+    assert np.array_equal(sample_noise(basis, sigma_sq, seed=11).values, expected)
 
 
 def test_sample_noise_coefficient_covariance():
@@ -360,14 +370,42 @@ def _chunked_audit_case():
     return basis, cd, cdp, sigma_sq, n_samples
 
 
-def test_dp_audit_matches_serial_oracle_across_chunks():
+@pytest.mark.parametrize("block_values", [
+    lambda m: mechanism._AUDIT_BLOCK_VALUES,
+    lambda m: m,
+    lambda m: 7 * m + 3,
+    lambda m: 2 * mechanism._AUDIT_CHUNK_VALUES,
+], ids=["default", "one_row", "seven_rows", "above_chunk"])
+def test_dp_audit_matches_serial_oracle_across_chunks(monkeypatch, block_values):
+    # The oracle draws each chunk in one call; the audit fills it block by block.
     basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
+    monkeypatch.setattr(mechanism, "_AUDIT_BLOCK_VALUES", block_values(basis.m))
     report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
                       sigma_sq, n, seed=5)
     expected = audit_violations_serial(cd, cdp, basis.eigenvalues, sigma_sq,
                                        BUDGET.epsilon, n, seed=5)
     assert 0 < expected < n
     assert report.empirical_violation_rate == expected / n
+
+
+def test_dp_audit_memory_does_not_grow_with_samples(monkeypatch):
+    # numpy reports its buffers to tracemalloc.  A worker holds one block
+    # buffer at any sample count, where a whole chunk would take 16 MB.
+    basis, cd, cdp, sigma_sq, _ = _chunked_audit_case()
+    centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
+    dp_audit(*centers, basis, BUDGET, sigma_sq, 20_000)  # first-call imports stay untraced
+    peaks = {}
+    for workers, n in ((1, 20_000), (1, 200_000), (2, 200_000)):
+        monkeypatch.setattr(mechanism, "_usable_cores", lambda w=workers: w)
+        tracemalloc.start()
+        try:
+            dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=1)
+            peaks[workers, n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Ten chunks instead of one add only their streams and futures.
+    assert peaks[1, 200_000] <= peaks[1, 20_000] + 2**16
+    assert peaks[2, 200_000] < 4 * 2**20
 
 
 def test_dp_audit_report_independent_of_worker_count(monkeypatch):
