@@ -31,9 +31,10 @@ budget = PrivacyBudget(1.0, 0.1)
 spec = KernelSpec("gaussian", 0.001)
 phis = (1e-4, 1e-3, 1e-2, 1e-1)
 print(f"{'phi':>8s} {'cv score':>12s} {'pcv score':>12s}")
-for phi in phis:
-    cv = cv_score(data, spec, phi, folds=10, fold_seed=5)
-    pcv = pcv_score(data, spec, phi, 1.0, budget, folds=10, seed=5)
+# one call scores the whole phi column from a single spectral basis
+cv_scores = cv_score(data, spec, phis, folds=10, fold_seed=5)
+pcv_scores = pcv_score(data, spec, phis, 1.0, budget, folds=10, seed=5)
+for phi, cv, pcv in zip(phis, cv_scores, pcv_scores):
     print(f"{phi:8.0e} {cv:12.5f} {pcv:12.5f}")
 
 grid_sel = SelectionGrid(phi_values=phis, rho_values=(0.001,), folds=10)

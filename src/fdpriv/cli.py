@@ -26,7 +26,7 @@ from .io import (
 )
 from .kernels import Curve, KERNEL_FAMILIES, KernelSpec, uniform_grid
 from .mechanism import dp_audit, noise_energy, release_function, release_projections
-from .selection import SelectionGrid, cv_score, pcv_select
+from .selection import SelectionGrid, _cv_rho_scan, pcv_select
 from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
 from .spectral import (
@@ -220,12 +220,8 @@ def cmd_audit(args) -> None:
 def cmd_cv(args) -> None:
     data = _load_sample(args)
     rho_values = sorted(args.rho_grid)
-    scores = [
-        cv_score(data, KernelSpec(args.kernel, rho), args.phi, args.eta,
-                 args.folds, args.seed, args.tol)
-        for rho in rho_values
-    ]
-    best = int(np.argmin(scores))  # argmin takes the first, i.e. smallest rho
+    scores, best = _cv_rho_scan(data, args.kernel, args.phi, rho_values, args.eta,
+                                args.folds, args.seed, args.tol)
     write_meta(args.output, {
         "command": "cv",
         "kernel_family": args.kernel,

@@ -5,11 +5,16 @@ Plain CV always favors the smallest penalty (least shrinkage fits held-out
 data best), but a small penalty forces a large noise variance.  Private CV
 scores the expected error of each training fit's sanitized release instead,
 so the noise cost enters the selection.
+
+Each range parameter rho gets one spectral basis, and a whole column of
+penalties phi is scored against it: per fold the training complement is
+built once and fitted with :func:`penalized_mean` at every phi.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,37 +61,61 @@ def fold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, folds))
 
 
-def _fold_errors(
-    data: SampleSet, basis: SpectralBasis, cfg: SmootherConfig, folds: int, seed: int
-):
-    """Per fold, yield (training set, mean squared L2 error of its fit on the held-out rows)."""
+def _smoothers(phi, eta: float) -> list[SmootherConfig]:
+    """One validated smoother per penalty; phi is a float or a non-empty 1-D sequence."""
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    if phis.ndim != 1 or phis.size == 0:
+        raise ValueError("phi must be a float or a non-empty 1-D sequence of floats")
+    return [SmootherConfig(float(p), eta) for p in phis]
+
+
+def _fold_errors(data: SampleSet, basis: SpectralBasis, cfgs: list[SmootherConfig],
+                 folds: int, seed: int):
+    """Per fold, yield (training set, mean squared L2 error of its fit on the
+    held-out rows, one per smoother)."""
     parts = fold_partition(data.n, folds, seed)
     for k, held_idx in enumerate(parts):
         train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
         train = SampleSet(data.values[train_idx], data.grid)
-        fit = penalized_mean(train, basis, cfg)
-        diffs = fit.values[None, :] - data.values[held_idx]
-        errors = (diffs**2) @ data.grid.weights
-        yield train, float(errors.mean())
+        errors = np.empty(len(cfgs))
+        for p, cfg in enumerate(cfgs):
+            diffs = penalized_mean(train, basis, cfg).values[None, :] - data.values[held_idx]
+            errors[p] = ((diffs**2) @ data.grid.weights).mean()
+        yield train, errors
 
 
 def cv_score(
     data: SampleSet,
     spec: KernelSpec,
-    phi: float,
+    phi: float | Sequence[float],
     eta: float = 1.0,
     folds: int = 10,
     fold_seed: int = 0,
     tol: float = DEFAULT_TRUNCATION_TOL,
-) -> float:
+) -> float | np.ndarray:
     """k-fold cross-validation score of the penalized mean.
 
     Average over folds of the mean squared weighted-L2 distance between the
-    training-complement fit and each held-out curve.
+    training-complement fit and each held-out curve.  phi is a float, giving
+    a float, or a 1-D sequence of penalties, giving an array with one score
+    per penalty; all of them are scored from one spectral basis.
     """
     basis = kernel_basis(spec, data.grid, tol)
-    cfg = SmootherConfig(phi, eta)
-    return sum(err for _, err in _fold_errors(data, basis, cfg, folds, fold_seed)) / folds
+    cfgs = _smoothers(phi, eta)
+    total = np.zeros(len(cfgs))
+    for _, errors in _fold_errors(data, basis, cfgs, folds, fold_seed):
+        total += errors
+    scores = total / folds
+    return float(scores[0]) if np.ndim(phi) == 0 else scores
+
+
+def _cv_rho_scan(data: SampleSet, family: str, phi: float, rho_values, eta: float,
+                 folds: int, seed: int, tol: float) -> tuple[list[float], int]:
+    """CV score of each range parameter in the given order, and the index of the
+    first minimum (so with increasing rho_values ties go to the smallest rho)."""
+    scores = [cv_score(data, KernelSpec(family, rho), phi, eta, folds, seed, tol)
+              for rho in rho_values]
+    return scores, int(np.argmin(scores))
 
 
 def cv_select(
@@ -107,25 +136,21 @@ def cv_select(
     rho_values = sorted(float(r) for r in rho_grid)
     if not rho_values:
         raise ValueError("rho grid must be non-empty")
-    best_rho, best_score = None, math.inf
-    for rho in rho_values:
-        score = cv_score(data, KernelSpec(family, rho), phi_fixed, eta, folds, seed, tol)
-        if score < best_score:
-            best_rho, best_score = rho, score
-    return best_rho
+    _, best = _cv_rho_scan(data, family, phi_fixed, rho_values, eta, folds, seed, tol)
+    return rho_values[best]
 
 
 def pcv_score(
     data: SampleSet,
     spec: KernelSpec,
-    phi: float,
+    phi: float | Sequence[float],
     eta: float,
     budget: PrivacyBudget,
     folds: int = 10,
     seed: int = 0,
     calibrate_on_full_n: bool = False,
     tol: float = DEFAULT_TRUNCATION_TOL,
-) -> float:
+) -> float | np.ndarray:
     """Private CV score: the expected error of each fold's sanitized fit.
 
     Per fold, E||fit + Z - X||^2 averaged over the held-out curves X equals
@@ -134,16 +159,22 @@ def pcv_score(
     calibrated per training complement (its sample size and realized tau),
     matching what an analyst fitting on those curves would have to add;
     calibrate_on_full_n switches to calibrating with the full sample size and
-    tau instead.  seed fixes the folds.
+    tau instead.  seed fixes the folds.  As in :func:`cv_score`, phi is a
+    float (float score) or a 1-D sequence (array of scores), all scored from
+    one spectral basis.
     """
     basis = kernel_basis(spec, data.grid, tol)
-    cfg = SmootherConfig(phi, eta)
-    total = 0.0
-    for train, base_err in _fold_errors(data, basis, cfg, folds, seed):
+    cfgs = _smoothers(phi, eta)
+    total = np.zeros(len(cfgs))
+    for train, errors in _fold_errors(data, basis, cfgs, folds, seed):
         calibrated_on = data if calibrate_on_full_n else train
-        calib = calibrate(basis, phi, eta, calibrated_on.tau, calibrated_on.n, budget)
-        total += base_err + noise_energy(basis, calib.sigma_sq)
-    return total / folds
+        total += errors + [
+            noise_energy(basis, calibrate(basis, cfg.phi, eta, calibrated_on.tau,
+                                          calibrated_on.n, budget).sigma_sq)
+            for cfg in cfgs
+        ]
+    scores = total / folds
+    return float(scores[0]) if np.ndim(phi) == 0 else scores
 
 
 def pcv_select(
@@ -158,22 +189,13 @@ def pcv_select(
 ) -> tuple[float, float]:
     """Exhaustive (phi, rho) grid search minimizing the private CV score.
 
+    Each rho's whole phi column is scored in one :func:`pcv_score` call.
     Ties resolve to the smallest phi, then the smallest rho.
     """
-    best, best_score = None, math.inf
-    for phi in grid.phi_values:
-        for rho in grid.rho_values:
-            score = pcv_score(
-                data,
-                KernelSpec(family, rho),
-                phi,
-                eta,
-                budget,
-                grid.folds,
-                seed,
-                calibrate_on_full_n,
-                tol,
-            )
-            if score < best_score:
-                best, best_score = (phi, rho), score
-    return best
+    table = np.column_stack([
+        pcv_score(data, KernelSpec(family, rho), grid.phi_values, eta, budget,
+                  grid.folds, seed, calibrate_on_full_n, tol)
+        for rho in grid.rho_values
+    ])  # (P, R); argmin takes the first minimum in C order
+    p, r = np.unravel_index(int(np.argmin(table)), table.shape)
+    return grid.phi_values[p], grid.rho_values[r]

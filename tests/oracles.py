@@ -3,8 +3,8 @@
 Besides the dense-solve smoother oracle, this module holds the formulas that
 only the tests need: the closed-form sensitivity maximizer, the dual Gram
 matrix of a batch of functionals and its quadratic form, the hashed
-substream seeds of the Monte-Carlo acceptance studies, and a serial replay of
-the privacy audit.
+substream seeds of the Monte-Carlo acceptance studies, a serial replay of
+the privacy audit, and the coefficient-space (P)CV score.
 """
 
 import hashlib
@@ -12,7 +12,20 @@ import struct
 
 import numpy as np
 
-from fdpriv import Curve, SampleSet, SmootherConfig, SpectralBasis, gram_matrix
+from fdpriv import (
+    Curve,
+    KernelSpec,
+    PrivacyBudget,
+    SampleSet,
+    SmootherConfig,
+    SpectralBasis,
+    calibrate,
+    fold_partition,
+    gram_matrix,
+    kernel_basis,
+    noise_energy,
+    shrinkage_factors,
+)
 from fdpriv.calibration import _validate_gs_args
 from fdpriv.rng import make_rng
 
@@ -147,3 +160,45 @@ def audit_violations_serial(
         ) / (2.0 * sigma_sq)
         count += int(np.count_nonzero(ratio > epsilon))
     return count
+
+
+def pcv_score_coefficient_space(
+    data: SampleSet,
+    spec: KernelSpec,
+    phi: float,
+    eta: float,
+    folds: int,
+    seed: int,
+    budget: PrivacyBudget | None = None,
+    calibrate_on_full_n: bool = False,
+) -> float:
+    """(P)CV score from the curves' basis coefficients, an oracle for ``cv_score``/``pcv_score``.
+
+    With C the curves' coefficients in the basis, a fold's fit at penalty phi
+    has coefficients S(phi) * cbar, cbar the mean of C over the training
+    rows, so its squared weighted-L2 distance to held-out curve i is
+    ||S(phi) * cbar - C_i||^2 plus curve i's energy off the retained span.
+    That energy is taken from the residual X_i - V C_i itself (the difference
+    of two norms would cancel to round-off).  With a budget, add the noise
+    energy of the fold's calibrated release: training n and largest training
+    norm, or the full sample's with calibrate_on_full_n.  Without one this is
+    the plain CV score.
+    """
+    basis = kernel_basis(spec, data.grid)
+    v, w = basis.matrix, data.grid.weights
+    coeffs = (data.values * w) @ v
+    off_span = ((data.values - coeffs @ v.T) ** 2) @ w
+    norms = np.sqrt((data.values**2) @ w)
+    shrink = shrinkage_factors(basis, SmootherConfig(phi, eta))
+    parts = fold_partition(data.n, folds, seed)
+    total = 0.0
+    for k, held_idx in enumerate(parts):
+        train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
+        fit = shrink * coeffs[train_idx].mean(axis=0)
+        err = float((np.sum((fit - coeffs[held_idx]) ** 2, axis=1) + off_span[held_idx]).mean())
+        if budget is not None:
+            tau, n = ((data.tau, data.n) if calibrate_on_full_n
+                      else (norms[train_idx].max(), train_idx.size))
+            err += noise_energy(basis, calibrate(basis, phi, eta, tau, n, budget).sigma_sq)
+        total += err
+    return total / folds

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fdpriv.selection
 from fdpriv import (
     Curve,
     KernelSpec,
@@ -20,8 +21,11 @@ from fdpriv import (
     pcv_select,
     uniform_grid,
 )
+from oracles import pcv_score_coefficient_space
 
 BUDGET = PrivacyBudget(1.0, 0.1)
+CHECK_PHIS = (0.001, 0.01, 0.1, 1.0)
+CHECK_RHOS = (0.0005, 0.001, 0.002)
 
 
 def test_selection_grid_validation():
@@ -246,3 +250,113 @@ def test_selection_builds_no_per_row_curves(default_basis, monkeypatch):
         cv_select(data, "gaussian", 0.01, sel.rho_values, folds=4, seed=2)
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def _rough_sample(m_points=30, n=13, seed=11):
+    """Rough curves: white noise plus a smooth bump, with energy on every mode."""
+    grid = uniform_grid(m_points)
+    rng = np.random.default_rng(seed)
+    values = 0.4 * rng.normal(size=(n, m_points)) + np.sin(np.pi * grid.points)
+    return SampleSet.from_values(values, grid)
+
+
+@pytest.mark.parametrize("calibrate_on_full_n", (False, True))
+@pytest.mark.parametrize("eta", (1.0, 1.5))
+@pytest.mark.parametrize("spec", (KernelSpec("gaussian", 0.05), KernelSpec("matern32", 0.2),
+                                  KernelSpec("exponential", 0.5)), ids=lambda s: s.family)
+def test_scores_match_coefficient_space_oracle(spec, eta, calibrate_on_full_n):
+    data = _rough_sample()
+    basis = kernel_basis(spec, data.grid)
+    if spec.family == "gaussian":
+        # truncated spectrum: part of every curve lies off the retained span,
+        # which the coefficient-space oracle has to add back
+        assert basis.m < data.grid.size
+        off_span = data.values - (data.values * data.grid.weights) @ basis.matrix @ basis.matrix.T
+        assert np.min((off_span**2) @ data.grid.weights) > 1e-3
+    phis = (1e-4, 0.003, 0.1, 2.0)
+    folds, seed = 4, 7
+    cv = cv_score(data, spec, phis, eta, folds, seed)
+    pcv = pcv_score(data, spec, phis, eta, BUDGET, folds, seed, calibrate_on_full_n)
+    for p, phi in enumerate(phis):
+        want_cv = pcv_score_coefficient_space(data, spec, phi, eta, folds, seed)
+        want_pcv = pcv_score_coefficient_space(data, spec, phi, eta, folds, seed, BUDGET,
+                                               calibrate_on_full_n)
+        assert cv[p] == pytest.approx(want_cv, rel=1e-12, abs=0.0)
+        assert pcv[p] == pytest.approx(want_pcv, rel=1e-12, abs=0.0)
+
+
+def test_vector_phi_equals_scalar_calls():
+    data = _rough_sample(n=17, seed=12)
+    spec = KernelSpec("matern52", 0.1)
+    phis = [1e-3, 0.02, 0.5]
+    cv = cv_score(data, spec, phis, 1.5, 5, 2)
+    pcv = pcv_score(data, spec, phis, 1.5, BUDGET, 5, 2)
+    assert isinstance(cv, np.ndarray) and cv.shape == (3,)
+    assert isinstance(pcv, np.ndarray) and pcv.shape == (3,)
+    for p, phi in enumerate(phis):
+        one_cv = cv_score(data, spec, phi, 1.5, 5, 2)
+        one_pcv = pcv_score(data, spec, phi, 1.5, BUDGET, 5, 2)
+        assert isinstance(one_cv, float) and isinstance(one_pcv, float)
+        # each penalty's score is summed exactly as a scalar call sums it
+        assert one_cv == cv[p]
+        assert one_pcv == pcv[p]
+
+
+def test_every_phi_of_a_column_is_validated():
+    data = _rough_sample()
+    spec = KernelSpec("gaussian", 0.05)
+    with pytest.raises(ValueError, match="penalty phi must be positive and finite"):
+        cv_score(data, spec, [0.1, -1.0])
+    with pytest.raises(ValueError, match="penalty phi must be positive and finite"):
+        pcv_score(data, spec, [0.1, math.inf], 1.0, BUDGET)
+    with pytest.raises(ValueError, match="penalty exponent eta must be at least 1"):
+        pcv_score(data, spec, [0.1], 0.5, BUDGET)
+    with pytest.raises(ValueError, match="1-D"):
+        cv_score(data, spec, [])
+    with pytest.raises(ValueError, match="1-D"):
+        cv_score(data, spec, [[0.1, 0.2]])
+
+
+def test_selection_builds_one_basis_and_one_training_set_per_rho_and_fold(default_basis,
+                                                                          monkeypatch):
+    data = kl_simulate(SimConfig(30, seed=4), default_basis)
+    bases, sample_sets = [], []
+    original_basis = fdpriv.selection.kernel_basis
+    original_init = SampleSet.__post_init__
+
+    def counting_basis(*args, **kwargs):
+        bases.append(1)
+        return original_basis(*args, **kwargs)
+
+    def counting_init(self):
+        sample_sets.append(1)
+        original_init(self)
+
+    monkeypatch.setattr(fdpriv.selection, "kernel_basis", counting_basis)
+    monkeypatch.setattr(SampleSet, "__post_init__", counting_init)
+    sel = SelectionGrid((0.001, 0.01, 0.1, 1.0), (0.001, 0.002, 0.004), folds=5)
+    pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=1)
+    # per rho, not per (phi, rho) cell
+    assert len(bases) == len(sel.rho_values)
+    assert len(sample_sets) == len(sel.rho_values) * sel.folds
+    bases.clear()
+    sample_sets.clear()
+    cv_select(data, "gaussian", 0.01, sel.rho_values, folds=5, seed=1)
+    assert len(bases) == len(sel.rho_values)
+    assert len(sample_sets) == len(sel.rho_values) * sel.folds
+
+
+@pytest.mark.parametrize("calibrate_on_full_n", (False, True))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_pcv_select_pick_matches_oracle_on_check_set(default_basis, seed,
+                                                     calibrate_on_full_n):
+    data = kl_simulate(SimConfig(200, seed=seed), default_basis)
+    table = np.array([
+        [pcv_score_coefficient_space(data, KernelSpec("gaussian", rho), phi, 1.0, 10, seed,
+                                     BUDGET, calibrate_on_full_n) for rho in CHECK_RHOS]
+        for phi in CHECK_PHIS
+    ])
+    p, r = np.unravel_index(np.argmin(table), table.shape)
+    sel = SelectionGrid(CHECK_PHIS, CHECK_RHOS, folds=10)
+    pick = pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed, calibrate_on_full_n)
+    assert pick == (CHECK_PHIS[p], CHECK_RHOS[r]) == (0.1, 0.002)
