@@ -37,7 +37,7 @@ print(f"simulated {data.n} curves, realized norm bound tau = {data.tau:.4f}")
 
 phi, eta = 0.01, 1.0
 mu_hat = penalized_mean(data, basis, SmootherConfig(phi, eta))
-err = float(np.sum(grid.weights * (mu_hat.values - mu.values) ** 2))
+err = float(grid.norm_sq(mu_hat.values - mu.values))
 print(f"penalized mean at phi={phi}: squared L2 error vs truth = {err:.3e}")
 
 budget = PrivacyBudget(epsilon=1.0, delta=0.1)
@@ -46,9 +46,7 @@ print(f"sensitivity bound delta_sq = {calib.delta_sq:.4e}")
 print(f"noise variance sigma_sq   = {calib.sigma_sq:.4e}")
 
 release = release_function(mu_hat, basis, calib, seed=7)
-noise_energy = float(
-    np.sum(grid.weights * (release.curve.values - mu_hat.values) ** 2)
-)
+noise_energy = float(grid.norm_sq(release.curve.values - mu_hat.values))
 print(f"released curve; realized noise energy = {noise_energy:.4e} "
       f"(expected sigma_sq * trace = {calib.sigma_sq * basis.eigenvalues.sum():.4e})")
 print(f"provenance: {release.meta.as_dict()}")

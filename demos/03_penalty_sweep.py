@@ -5,8 +5,6 @@ same privacy budget.  Tabulating both errors against phi reveals the
 trade-off; the total release error is minimized strictly inside the range.
 """
 
-import numpy as np
-
 from fdpriv import (
     KernelSpec,
     PrivacyBudget,
@@ -33,7 +31,7 @@ print(f"{'phi':>8s} {'|muhat-mu|^2':>14s} {'E|rel-muhat|^2':>15s} {'E|rel-mu|^2'
 for phi in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
     mu_hat = penalized_mean(data, basis, SmootherConfig(phi))
     calib = calibrate(basis, phi, 1.0, data.tau, data.n, budget)
-    err_smooth = float(np.sum(grid.weights * (mu_hat.values - mu.values) ** 2))
+    err_smooth = float(grid.norm_sq(mu_hat.values - mu.values))
     err_noise = noise_energy(basis, calib.sigma_sq)
     print(f"{phi:8.0e} {err_smooth:14.4e} {err_noise:15.4e} {err_smooth + err_noise:13.4e}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .smoothing import SmootherConfig
 from .spectral import SpectralBasis
 
 GS_METHODS = ("exact_spectral", "closed_form")
@@ -67,10 +68,7 @@ class CalibrationResult:
 
 
 def _validate_gs_args(phi: float, eta: float, tau: float, n: int) -> None:
-    if not (math.isfinite(phi) and phi > 0.0):
-        raise ValueError("phi must be positive")
-    if not (math.isfinite(eta) and eta >= 1.0):
-        raise ValueError("eta must be at least 1")
+    SmootherConfig(phi, eta)
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError("tau must be non-negative")
     if n < 1:

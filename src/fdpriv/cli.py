@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .calibration import GS_METHODS, PrivacyBudget, PrivacyRefusalError, calibrate, noise_scale
+from .calibration import GS_METHODS, PrivacyBudget, PrivacyRefusalError, calibrate
 from .io import (
     CsvFormatError,
     format_float,
@@ -29,13 +29,7 @@ from .mechanism import dp_audit, noise_energy, release_function, release_project
 from .selection import SelectionGrid, _cv_rho_scan, pcv_select
 from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
-from .spectral import (
-    DegenerateKernelError,
-    coefficients,
-    cm_norm_sq,
-    kernel_basis,
-    point_eval_functional,
-)
+from .spectral import DegenerateKernelError, kernel_basis, point_eval_functional
 
 SWEEP_PARAMETERS = ("phi", "rho", "kernel", "p", "epsilon", "delta", "n", "mean")
 
@@ -191,19 +185,14 @@ def cmd_audit(args) -> None:
         raise ValueError("theta curves live on different grids")
     basis = kernel_basis(KernelSpec(args.kernel, args.rho), theta_d.grid, args.tol)
     budget = PrivacyBudget(args.epsilon, args.delta)
-    if args.sigma_sq is not None:
-        sigma_sq = args.sigma_sq
-    else:
-        diff = Curve(theta_d.values - theta_dp.values, theta_d.grid)
-        sigma_sq = noise_scale(budget, cm_norm_sq(coefficients(diff, basis), basis))
-    report = dp_audit(theta_d, theta_dp, basis, budget, sigma_sq, args.samples, args.seed)
+    report = dp_audit(theta_d, theta_dp, basis, budget, args.sigma_sq, args.samples, args.seed)
     write_meta(args.output, {
         "command": "audit",
         "kernel_family": args.kernel,
         "rho": args.rho,
         "epsilon": report.epsilon,
         "delta": report.delta,
-        "sigma_sq": sigma_sq,
+        "sigma_sq": report.sigma_sq,
         "n_samples": report.n_samples,
         "empirical_violation_rate": report.empirical_violation_rate,
         "mc_stderr": report.mc_stderr,
@@ -292,7 +281,7 @@ def _sweep_point(parameter, value, args):
     budget = PrivacyBudget(pack["epsilon"], pack["delta"])
     calib = calibrate(basis, pack["phi"], pack["eta"], data.tau, data.n, budget,
                       args.method)
-    err_smooth = float(np.sum(grid.weights * (mu_hat.values - mu.values) ** 2))
+    err_smooth = float(grid.norm_sq(mu_hat.values - mu.values))
     err_noise = noise_energy(basis, calib.sigma_sq)
     return err_smooth, err_noise, err_smooth + err_noise
 

@@ -50,6 +50,10 @@ class Grid:
     def size(self) -> int:
         return self.points.size
 
+    def norm_sq(self, values) -> np.ndarray | float:
+        """Squared weighted L2 norm sum(w_k * x_k^2) of each curve along the last axis."""
+        return np.sum(self.weights * values**2, axis=-1)
+
     def matches(self, other: "Grid") -> bool:
         """True when both grids discretize the same abscissae."""
         return self is other or (
@@ -68,8 +72,11 @@ def uniform_grid(m: int) -> Grid:
 def grid_from_points(points) -> Grid:
     """Build a grid from bare abscissae, choosing quadrature weights.
 
-    Equispaced points get uniform weights 1/m; anything else gets trapezoid
-    weights.  This is how grids read back from CSV recover their weights.
+    Equispaced points get uniform weights (last - first) / m, which is 1/m
+    on [0, 1]; anything else gets trapezoid weights.  Both total the span
+    up to O(1/m), so a point moved off the equispaced lattice moves the
+    weights only slightly.  This is how grids read back from CSV recover
+    their weights.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or points.size < 2:
@@ -78,7 +85,7 @@ def grid_from_points(points) -> Grid:
     if np.any(gaps <= 0):
         raise ValueError("grid points must be strictly increasing")
     if np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12):
-        weights = np.full(points.size, 1.0 / points.size)
+        weights = np.full(points.size, (points[-1] - points[0]) / points.size)
     else:
         weights = np.empty(points.size)
         weights[0] = 0.5 * gaps[0]
@@ -107,7 +114,7 @@ class Curve:
 
     def norm(self) -> float:
         """Weighted L2 norm sqrt(sum(w_k * x_k^2))."""
-        return math.sqrt(float(np.sum(self.grid.weights * self.values**2)))
+        return math.sqrt(float(self.grid.norm_sq(self.values)))
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ _AUDIT_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
-class ReleaseMeta:
-    """Provenance carried by every sanitized release.
+class ReleaseMeta(CalibrationResult):
+    """Provenance carried by every sanitized release: its calibration, kernel and seed.
 
     timestamp defaults to empty so that identical configurations produce
     byte-identical output files; callers that want a wall-clock stamp must
@@ -44,15 +44,6 @@ class ReleaseMeta:
 
     kernel_family: str
     rho: float
-    phi: float
-    eta: float
-    tau: float
-    n: int
-    epsilon: float
-    delta: float
-    delta_sq: float
-    sigma_sq: float
-    method: str
     seed: int
     timestamp: str = ""
 
@@ -76,6 +67,7 @@ class AuditReport:
     n_samples: int
     epsilon: float
     delta: float
+    sigma_sq: float
     empirical_violation_rate: float
     mc_stderr: float
     passed: bool
@@ -83,16 +75,13 @@ class AuditReport:
 
 
 def _noise_coefficients(
-    basis: SpectralBasis, sigma_sq: float, rng: np.random.Generator, out: np.ndarray | None = None
+    basis: SpectralBasis, sigma_sq: float, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """Basis coefficients sigma * sqrt(lambda_j) * xi_j of noise draws.
-
-    Returns one fresh draw of shape (m,), or fills ``out`` (shape (rows, m))
-    with rows draws in place and returns it.
-    """
-    xi = rng.standard_normal(basis.m) if out is None else rng.standard_normal(out=out)
-    xi *= math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues)
-    return xi
+    """Fill ``out`` (shape (m,) or (rows, m)) in place with the basis
+    coefficients sigma * sqrt(lambda_j) * xi_j of noise draws, and return it."""
+    rng.standard_normal(out=out)
+    out *= math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues)
+    return out
 
 
 def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
@@ -140,7 +129,7 @@ def _usable_cores() -> int:
 def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     """One draw of the scaled Gaussian process, deterministic in the seed."""
     _check_sigma_sq(sigma_sq, zero_ok=True)
-    coeffs = _noise_coefficients(basis, sigma_sq, make_rng(seed))
+    coeffs = _noise_coefficients(basis, sigma_sq, make_rng(seed), np.empty(basis.m))
     return Curve(basis.matrix @ coeffs, basis.grid)
 
 
@@ -233,7 +222,7 @@ def dp_audit(
     theta_dp: Curve,
     basis: SpectralBasis,
     budget: PrivacyBudget,
-    sigma_sq: float,
+    sigma_sq: float | None = None,
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> AuditReport:
@@ -241,10 +230,13 @@ def dp_audit(
 
     Draws releases centered at theta_d, estimates how often the log density
     ratio against theta_dp exceeds epsilon, and passes when that rate stays
-    within delta plus three Monte-Carlo standard errors.  A sigma_sq below
-    the calibrated minimum for this pair is flagged as undercalibrated (the
-    audit still runs and is expected to fail).  The direction is the argument
-    order: pass the summaries swapped to audit the opposite direction.
+    within delta plus three Monte-Carlo standard errors.  sigma_sq defaults
+    to the calibrated minimum for this pair, noise_scale(budget, D^2) with D
+    the pair's Cameron-Martin distance, and the report records the variance
+    audited.  A sigma_sq below that minimum is flagged as undercalibrated
+    (the audit still runs and is expected to fail).  The direction is the
+    argument order: pass the summaries swapped to audit the opposite
+    direction.
 
     The samples come in fixed-size chunks of about 2**21 standard normals;
     chunk k draws from its own child stream ``make_rng(seed).spawn(n)[k]``
@@ -257,10 +249,14 @@ def dp_audit(
     """
     if n_samples < _AUDIT_MIN_SAMPLES:
         raise ValueError(f"audit needs at least {_AUDIT_MIN_SAMPLES} samples")
-    _check_sigma_sq(sigma_sq, zero_ok=False)
+    if sigma_sq is not None:
+        _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
     cdp = _span_coefficients(theta_dp, basis, "theta_dp")
     minimum = noise_scale(budget, cm_norm_sq(cd - cdp, basis))
+    if sigma_sq is None:
+        _check_sigma_sq(minimum, zero_ok=False)  # zero for identical summaries
+        sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
 
     n_samples = int(n_samples)
@@ -292,6 +288,7 @@ def dp_audit(
         n_samples=n_samples,
         epsilon=budget.epsilon,
         delta=budget.delta,
+        sigma_sq=sigma_sq,
         empirical_violation_rate=rate,
         mc_stderr=stderr,
         passed=rate <= budget.delta + 3.0 * stderr,

@@ -27,6 +27,14 @@ from .smoothing import SampleSet, SmootherConfig, penalized_mean
 from .spectral import DEFAULT_TRUNCATION_TOL, SpectralBasis, kernel_basis
 
 
+def _check_folds(folds) -> None:
+    """Refuse a fold count that is not a whole number of at least two."""
+    if not float(folds).is_integer():
+        raise ValueError(f"fold count must be a whole number, got {folds}")
+    if folds < 2:
+        raise ValueError("need at least two folds")
+
+
 @dataclass(frozen=True)
 class SelectionGrid:
     """Penalty and range-parameter grids plus the fold count for a search."""
@@ -45,16 +53,14 @@ class SelectionGrid:
                 raise ValueError(f"{name} grid values must be positive and finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} grid must be strictly increasing")
-        if self.folds < 2:
-            raise ValueError("need at least two folds")
+        _check_folds(self.folds)
         object.__setattr__(self, "phi_values", phi)
         object.__setattr__(self, "rho_values", rho)
 
 
 def fold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Deterministic seeded partition of range(n) into folds of near-equal size."""
-    if folds < 2:
-        raise ValueError("need at least two folds")
+    _check_folds(folds)
     if folds > n:
         raise ValueError(f"cannot split {n} curves into {folds} folds")
     perm = make_rng(seed).permutation(n)
@@ -75,12 +81,10 @@ def _fold_errors(data: SampleSet, basis: SpectralBasis, cfgs: list[SmootherConfi
     held-out rows, one per smoother)."""
     parts = fold_partition(data.n, folds, seed)
     for k, held_idx in enumerate(parts):
-        train_idx = np.concatenate([p for i, p in enumerate(parts) if i != k])
-        train = SampleSet(data.values[train_idx], data.grid)
-        errors = np.empty(len(cfgs))
-        for p, cfg in enumerate(cfgs):
-            diffs = penalized_mean(train, basis, cfg).values[None, :] - data.values[held_idx]
-            errors[p] = ((diffs**2) @ data.grid.weights).mean()
+        train = data.subset(np.concatenate([p for i, p in enumerate(parts) if i != k]))
+        fits = np.stack([penalized_mean(train, basis, cfg).values for cfg in cfgs])
+        # (P, held, M) differences, one norm per (phi, held-out curve)
+        errors = data.grid.norm_sq(fits[:, None, :] - data.values[held_idx]).mean(axis=1)
         yield train, errors
 
 
@@ -156,12 +160,13 @@ def pcv_score(
     Per fold, E||fit + Z - X||^2 averaged over the held-out curves X equals
     the plain CV error plus the noise energy sigma_sq * sum_j lambda_j,
     exactly, since the noise Z is mean-zero.  The noise variance is
-    calibrated per training complement (its sample size and realized tau),
-    matching what an analyst fitting on those curves would have to add;
-    calibrate_on_full_n switches to calibrating with the full sample size and
-    tau instead.  seed fixes the folds.  As in :func:`cv_score`, phi is a
-    float (float score) or a 1-D sequence (array of scores), all scored from
-    one spectral basis.
+    calibrated per training complement, at its sample size and its tau (the
+    tau stated for data, or the training curves' largest norm when data's
+    tau was derived from its curves), matching what an analyst fitting on
+    those curves would have to add; calibrate_on_full_n switches to
+    calibrating with the full sample size and tau instead.  seed fixes the
+    folds.  As in :func:`cv_score`, phi is a float (float score) or a 1-D
+    sequence (array of scores), all scored from one spectral basis.
     """
     basis = kernel_basis(spec, data.grid, tol)
     cfgs = _smoothers(phi, eta)

@@ -32,7 +32,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        if not float(self.n).is_integer():
+            raise ValueError(f"sample size must be a whole number, got {self.n}")
+        if self.n < 1:
             raise ValueError("sample size must be at least 1")
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise ValueError("score decay exponent p must be strictly larger than 1")

@@ -10,7 +10,7 @@ Cameron-Martin space and thereby makes it privatizable at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ class SampleSet:
     values: np.ndarray
     grid: Grid
     tau: float | None = None
+    _tau_stated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -61,7 +62,7 @@ class SampleSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("curve values must be finite")
-        norms = np.sqrt(np.sum(self.grid.weights * values**2, axis=1))
+        norms = np.sqrt(self.grid.norm_sq(values))
         tau = float(norms.max()) if self.tau is None else float(self.tau)
         if not (math.isfinite(tau) and tau >= 0.0):
             raise ValueError("tau must be a finite non-negative bound")
@@ -69,12 +70,21 @@ class SampleSet:
             raise ValueError("a curve exceeds the stated norm bound tau")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_tau_stated", self.tau is not None)
         object.__setattr__(self, "tau", tau)
 
     @classmethod
     def from_values(cls, values, grid: Grid, tau: float | None = None) -> "SampleSet":
         """Bundle an (N, M) array of curve values on a grid; a 1-D array is one curve."""
         return cls(np.atleast_2d(values), grid, tau)
+
+    def subset(self, rows) -> "SampleSet":
+        """The curves at the given row indices.
+
+        A tau stated for this set bounds the subset too and carries over; a
+        tau derived from the data is derived again from the subset's curves.
+        """
+        return SampleSet(self.values[rows], self.grid, self.tau if self._tau_stated else None)
 
     @property
     def n(self) -> int:

@@ -176,8 +176,8 @@ def compatibility_check(x: Curve, basis: SpectralBasis) -> CompatibilityReport:
     itself never raises; it reports.
     """
     residual = x.values - basis.matrix @ coefficients(x, basis)
-    residual_energy = float(np.sum(basis.grid.weights * residual**2))
-    total_energy = float(np.sum(basis.grid.weights * x.values**2))
+    residual_energy = float(basis.grid.norm_sq(residual))
+    total_energy = float(basis.grid.norm_sq(x.values))
     fraction = residual_energy / total_energy if total_energy > 0.0 else 0.0
     compatible = residual_energy <= RELEASE_COMPAT_TOL * total_energy
     return CompatibilityReport(compatible, fraction)

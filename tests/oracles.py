@@ -171,6 +171,7 @@ def pcv_score_coefficient_space(
     seed: int,
     budget: PrivacyBudget | None = None,
     calibrate_on_full_n: bool = False,
+    tau: float | None = None,
 ) -> float:
     """(P)CV score from the curves' basis coefficients, an oracle for ``cv_score``/``pcv_score``.
 
@@ -181,8 +182,10 @@ def pcv_score_coefficient_space(
     That energy is taken from the residual X_i - V C_i itself (the difference
     of two norms would cancel to round-off).  With a budget, add the noise
     energy of the fold's calibrated release: training n and largest training
-    norm, or the full sample's with calibrate_on_full_n.  Without one this is
-    the plain CV score.
+    norm, or the full sample's with calibrate_on_full_n.  tau is a bound
+    stated for the sample a priori (pass the one data was built with); it
+    bounds every training set too, so it replaces the largest training norm.
+    Without a budget this is the plain CV score.
     """
     basis = kernel_basis(spec, data.grid)
     v, w = basis.matrix, data.grid.weights
@@ -197,8 +200,8 @@ def pcv_score_coefficient_space(
         fit = shrink * coeffs[train_idx].mean(axis=0)
         err = float((np.sum((fit - coeffs[held_idx]) ** 2, axis=1) + off_span[held_idx]).mean())
         if budget is not None:
-            tau, n = ((data.tau, data.n) if calibrate_on_full_n
-                      else (norms[train_idx].max(), train_idx.size))
-            err += noise_energy(basis, calibrate(basis, phi, eta, tau, n, budget).sigma_sq)
+            bound, n = ((data.tau, data.n) if calibrate_on_full_n
+                        else (norms[train_idx].max() if tau is None else tau, train_idx.size))
+            err += noise_energy(basis, calibrate(basis, phi, eta, bound, n, budget).sigma_sq)
         total += err
     return total / folds

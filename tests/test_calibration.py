@@ -172,3 +172,23 @@ def test_projection_quadratic_form_equality_for_full_rank():
     diff = np.array([0.7, -1.2])
     q = projection_quadratic_form(np.eye(2), diff, basis)
     assert q == pytest.approx(cm_norm_sq(diff, basis), rel=1e-10)
+
+
+@pytest.mark.parametrize("phi,eta,tau,n,match", [
+    (0.0, 1.0, 1.0, 5, "penalty phi"),
+    (-0.1, 1.0, 1.0, 5, "penalty phi"),
+    (math.nan, 1.0, 1.0, 5, "penalty phi"),
+    (0.1, 0.5, 1.0, 5, "penalty exponent eta"),
+    (0.1, math.nan, 1.0, 5, "penalty exponent eta"),
+    (0.1, 1.0, -1.0, 5, "tau"),
+    (0.1, 1.0, math.nan, 5, "tau"),
+    (0.1, 1.0, 1.0, 0, "sample size"),
+])
+@pytest.mark.parametrize("bound", [
+    lambda *args: gs_exact_bound(toy_basis(), *args),
+    gs_closed_bound,
+    lambda *args: calibrate(toy_basis(), *args, PrivacyBudget(1.0, 0.1)),
+], ids=["gs_exact_bound", "gs_closed_bound", "calibrate"])
+def test_sensitivity_inputs_are_refused(bound, phi, eta, tau, n, match):
+    with pytest.raises(ValueError, match=match):
+        bound(phi, eta, tau, n)

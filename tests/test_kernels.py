@@ -30,6 +30,31 @@ def test_grid_from_points_trapezoid_for_nonuniform():
     assert np.all(grid.weights > 0)
 
 
+def test_grid_from_points_weights_are_continuous_at_equispaced_points():
+    # equispaced points get (last - first) / M each, so a copy with one point
+    # moved off the lattice (trapezoid weights) keeps nearly the same total
+    points = np.linspace(0.0, 0.2, 5)
+    moved = points.copy()
+    moved[2] += 1e-6
+    even, uneven = grid_from_points(points), grid_from_points(moved)
+    assert np.all(even.weights == 0.2 / 5)
+    assert even.weights.sum() == pytest.approx(uneven.weights.sum(), rel=1e-12)
+    # on [0, 1] that is 1/M exactly, so every uniform grid reads back as written
+    for m in (2, 3, 7, 100, 1000):
+        assert grid_from_points(uniform_grid(m).points).matches(uniform_grid(m))
+
+
+def test_norm_sq_is_the_weighted_sum_along_the_last_axis():
+    grid = grid_from_points(np.array([0.0, 0.1, 0.4, 1.0]))
+    stack = np.random.default_rng(3).normal(size=(2, 3, 4))
+    got = grid.norm_sq(stack)
+    assert got.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert got[i, j] == np.sum(grid.weights * stack[i, j] ** 2)
+            assert math.sqrt(got[i, j]) == Curve(stack[i, j], grid).norm()
+
+
 @pytest.mark.parametrize(
     "points,weights",
     [

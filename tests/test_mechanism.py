@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -275,6 +276,38 @@ def test_dp_audit_calibrated_passes_and_undercalibrated_fails():
             theta_d, theta_dp, basis, BUDGET, sigma_sq / 100.0, 100_000, seed=trial
         )
         assert not bad.passed and bad.undercalibrated
+
+
+def test_dp_audit_defaults_to_the_pairs_calibrated_noise():
+    basis = toy_basis()
+    rng = np.random.default_rng(62)
+    theta_d = reconstruct(rng.normal(size=basis.m), basis)
+    theta_dp = reconstruct(coefficients(theta_d, basis) + 0.3 * rng.normal(size=basis.m), basis)
+    cd, cdp = coefficients(theta_d, basis), coefficients(theta_dp, basis)
+    minimum = noise_scale(BUDGET, cm_norm_sq(cd - cdp, basis))
+    report = dp_audit(theta_d, theta_dp, basis, BUDGET, n_samples=20_000, seed=8)
+    assert report.sigma_sq == minimum and not report.undercalibrated
+    assert report == dp_audit(theta_d, theta_dp, basis, BUDGET, minimum, 20_000, seed=8)
+    given = dp_audit(theta_d, theta_dp, basis, BUDGET, 0.5 * minimum, 20_000, seed=8)
+    assert given.sigma_sq == 0.5 * minimum and given.undercalibrated
+    # identical summaries calibrate to zero noise, which cannot be audited
+    with pytest.raises(ValueError, match="sigma_sq must be finite and positive"):
+        dp_audit(theta_d, theta_d, basis, BUDGET, n_samples=20_000)
+
+
+def test_release_meta_is_its_calibration_plus_kernel_and_seed():
+    basis = toy_basis()
+    calib = make_calibration(0.2, basis)
+    meta = release_function(reconstruct(np.full(basis.m, 0.1), basis), basis, calib, 3).meta
+    assert isinstance(meta, CalibrationResult)
+    record = meta.as_dict()
+    assert sorted(record) == sorted([
+        "delta_sq", "sigma_sq", "method", "phi", "eta", "tau", "n", "epsilon", "delta",
+        "kernel_family", "rho", "seed", "timestamp",
+    ])
+    assert {key: record[key] for key in asdict(calib)} == asdict(calib)
+    assert (record["kernel_family"], record["seed"], record["timestamp"]) == ("custom", 3, "")
+    assert math.isnan(record["rho"])
 
 
 def test_dp_audit_report_invariants():

@@ -38,6 +38,19 @@ def test_selection_grid_validation():
         SelectionGrid((0.1,), (0.1,), folds=1)
 
 
+def test_fractional_fold_count_is_refused():
+    # 2.5 folds would split into 2 but divide the summed errors by 2.5
+    data = _rough_sample(n=20)
+    with pytest.raises(ValueError, match="whole number"):
+        fold_partition(20, 2.5, seed=0)
+    with pytest.raises(ValueError, match="whole number"):
+        cv_score(data, KernelSpec("gaussian", 0.05), 0.1, folds=2.5)
+    with pytest.raises(ValueError, match="whole number"):
+        SelectionGrid((0.1,), (0.1,), folds=2.5)
+    assert cv_score(data, KernelSpec("gaussian", 0.05), 0.1, folds=2.0) == cv_score(
+        data, KernelSpec("gaussian", 0.05), 0.1, folds=2)
+
+
 def test_fold_partition_properties():
     parts = fold_partition(23, 4, seed=3)
     again = fold_partition(23, 4, seed=3)
@@ -344,6 +357,24 @@ def test_selection_builds_one_basis_and_one_training_set_per_rho_and_fold(defaul
     cv_select(data, "gaussian", 0.01, sel.rho_values, folds=5, seed=1)
     assert len(bases) == len(sel.rho_values)
     assert len(sample_sets) == len(sel.rho_values) * sel.folds
+
+
+@pytest.mark.parametrize("calibrate_on_full_n", (False, True))
+def test_pcv_carries_a_stated_tau_into_every_fold(calibrate_on_full_n):
+    grid = uniform_grid(30)
+    values = np.random.default_rng(5).normal(size=(12, 30))
+    realized = SampleSet(values, grid)
+    stated = SampleSet(values, grid, tau=10.0 * realized.tau)
+    spec, phis, folds, seed = KernelSpec("matern32", 0.2), (0.01, 0.1), 4, 3
+    got = pcv_score(stated, spec, phis, 1.0, BUDGET, folds, seed, calibrate_on_full_n)
+    for p, phi in enumerate(phis):
+        want = pcv_score_coefficient_space(stated, spec, phi, 1.0, folds, seed, BUDGET,
+                                           calibrate_on_full_n, tau=stated.tau)
+        assert got[p] == pytest.approx(want, rel=1e-12, abs=0.0)
+    # ten times the bound, a hundred times the noise: the noise term dominates
+    data_derived = pcv_score(realized, spec, phis, 1.0, BUDGET, folds, seed,
+                             calibrate_on_full_n)
+    assert np.all(got > 10.0 * data_derived)
 
 
 @pytest.mark.parametrize("calibrate_on_full_n", (False, True))

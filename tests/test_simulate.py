@@ -17,6 +17,8 @@ from conftest import toy_basis
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(0)
+    with pytest.raises(ValueError, match="whole number"):
+        SimConfig(2.5)  # would silently become 2 curves
     with pytest.raises(ValueError):
         SimConfig(5, p=1.0)  # p must exceed 1
     with pytest.raises(ValueError):

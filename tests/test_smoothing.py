@@ -5,12 +5,15 @@ from fdpriv import (
     Curve,
     KernelSpec,
     SampleSet,
+    SimConfig,
     SmootherConfig,
+    SpectralBasis,
     cm_norm_sq,
     coefficients,
     compatibility_check,
     grid_from_points,
     kernel_basis,
+    kl_simulate,
     penalized_mean,
     shrinkage_factors,
     uniform_grid,
@@ -35,6 +38,31 @@ def test_sample_set_tau_from_data():
     norms = [Curve(row, grid).norm() for row in values]
     assert data.tau == max(norms)
     assert all(n <= data.tau for n in norms)
+
+
+def test_simulated_norms_are_pinned_bitwise():
+    # The quadrature is sum(w * x**2) in numpy's pairwise order: another
+    # summation (a matrix product, say) moves these last bits.  The basis is
+    # handcrafted, 10 times the identity (orthonormal under weights 1/100),
+    # so that no LAPACK build enters the values.
+    grid = uniform_grid(100)
+    basis = SpectralBasis(1.0 / np.arange(1, 101) ** 2, 10.0 * np.eye(100), grid)
+    data = kl_simulate(SimConfig(25, seed=0), basis)
+    assert data.tau.hex() == "0x1.987e78ec9927ap-2"
+    norms = [Curve(data.values[i], grid).norm().hex() for i in (0, 24)]
+    assert norms == ["0x1.987e78ec9927ap-2", "0x1.047e8f856e428p-2"]
+
+
+def test_subset_keeps_a_stated_tau_and_rederives_a_realized_one():
+    grid = uniform_grid(8)
+    values = np.random.default_rng(2).normal(size=(5, 8))
+    realized = SampleSet(values, grid)
+    largest = int(np.argmax(np.sum(values**2, axis=1)))
+    rows = [i for i in range(5) if i != largest]
+    part = realized.subset(rows)
+    assert np.array_equal(part.values, values[rows])
+    assert part.tau == SampleSet(values[rows], grid).tau < realized.tau
+    assert SampleSet(values, grid, tau=9.0).subset(rows).tau == 9.0
 
 
 def test_sample_set_rejects_violated_bound_and_mixed_grids():
