@@ -2,12 +2,12 @@
 
 Estimates a mean curve by penalized RKHS smoothing, bounds its sensitivity in
 the Cameron-Martin norm of a chosen Gaussian-process noise, and releases the
-estimate (or functionals of it) with calibrated noise.  Includes a
-Karhunen-Loeve simulator, an empirical privacy auditor, and CV/PCV
-hyperparameter selection.
+estimate with calibrated noise.  Includes a Karhunen-Loeve simulator, an
+empirical privacy auditor, and CV/PCV hyperparameter selection.
 
 Post-processing needs no API: any function of ``release.curve`` (its
-``norm()``, a ``derivative``, your own transform) keeps the release's
+``norm()``, linear functionals ``F @ coefficients(release.curve, basis)``,
+``np.gradient`` on the grid, your own transform) keeps the release's
 guarantee, and ``release.meta`` carries the provenance alongside.
 """
 
@@ -36,11 +36,9 @@ from .mechanism import (
     ReleaseMeta,
     SanitizedRelease,
     density_log_ratio,
-    derivative,
     dp_audit,
     noise_energy,
     release_function,
-    release_projections,
     sample_noise,
 )
 from .rng import make_rng
@@ -103,7 +101,6 @@ __all__ = [
     "decompose",
     "default_mean",
     "density_log_ratio",
-    "derivative",
     "dp_audit",
     "fold_partition",
     "gram_matrix",
@@ -122,7 +119,6 @@ __all__ = [
     "point_eval_functional",
     "reconstruct",
     "release_function",
-    "release_projections",
     "sample_noise",
     "shrinkage_factors",
     "uniform_grid",

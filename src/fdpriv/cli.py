@@ -25,11 +25,11 @@ from .io import (
     write_meta,
 )
 from .kernels import Curve, KERNEL_FAMILIES, KernelSpec, uniform_grid
-from .mechanism import dp_audit, noise_energy, release_function, release_projections
+from .mechanism import dp_audit, noise_energy, release_function
 from .selection import SelectionGrid, _cv_rho_scan, pcv_select
 from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
-from .spectral import DegenerateKernelError, kernel_basis, point_eval_functional
+from .spectral import DegenerateKernelError, coefficients, kernel_basis, point_eval_functional
 
 SWEEP_PARAMETERS = ("phi", "rho", "kernel", "p", "epsilon", "delta", "n", "mean")
 
@@ -163,16 +163,17 @@ def cmd_projections(args) -> None:
     data, basis, mu_hat, calib = _release_pipeline(args)
     points = args.at
     functionals = np.stack([point_eval_functional(basis, t) for t in points])
-    release = release_projections(mu_hat, functionals, basis, calib, args.seed)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(format_float(t) for t in points) + "\n")
-        fh.write(",".join(format_float(v) for v in release.projections) + "\n")
+    release = release_function(mu_hat, basis, calib, args.seed)
+    values = functionals @ coefficients(release.curve, basis)
+    write_long_csv(args.output, [format_float(t) for t in points], [values])
     write_meta(meta_path(args.output), release.meta.as_dict())
     print(f"wrote {len(points)} sanitized point evaluations to {args.output}")
 
 
 def _read_single_curve(path):
     grid, values = read_curves_csv(path)
+    if len(values) != 1:
+        raise ValueError(f"{path} holds {len(values)} curves; audit needs one summary curve")
     return Curve(values[0], grid)
 
 

@@ -103,7 +103,7 @@ def read_meta(path) -> dict[str, str]:
 
 
 def write_long_csv(path, header: list[str], rows) -> None:
-    """Write a long-format CSV with a header row (sweep output)."""
+    """Write a long-format CSV with a header row (sweep and projections output)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

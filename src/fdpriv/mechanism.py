@@ -2,10 +2,12 @@
 
 Noise is a mean-zero Gaussian process expanded in the basis,
 sigma * sum_j sqrt(lambda_j) xi_j v_j with iid standard normal xi_j, so a
-release is the smoothed estimate plus one draw of that process.  The auditor
-replays the privacy argument numerically: under the distribution induced by
-one dataset, the log density ratio against an adjacent dataset may exceed
-epsilon with probability at most delta.
+release is the smoothed estimate plus one draw of that process.
+release_function is the only release: point values, projections, norms and
+derivatives of the released curve are post-processing and keep its
+guarantee.  The auditor replays the privacy argument numerically: under the
+distribution induced by one dataset, the log density ratio against an
+adjacent dataset may exceed epsilon with probability at most delta.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ _AUDIT_BLOCK_VALUES = 1 << 17
 class ReleaseMeta(CalibrationResult):
     """Provenance carried by every sanitized release: its calibration, kernel and seed.
 
-    timestamp defaults to empty so that identical configurations produce
-    byte-identical output files; callers that want a wall-clock stamp must
-    supply one explicitly.
+    release_function leaves timestamp empty, so identical configurations
+    produce byte-identical output files; the field keeps the key in every
+    release sidecar.
     """
 
     kernel_family: str
@@ -53,11 +55,10 @@ class ReleaseMeta(CalibrationResult):
 
 @dataclass(frozen=True, eq=False)
 class SanitizedRelease:
-    """A privatized curve (or vector of functional values) plus its provenance."""
+    """A privatized curve plus its provenance; any functional of it is post-processing."""
 
     meta: ReleaseMeta
-    curve: Curve | None = None
-    projections: np.ndarray | None = None
+    curve: Curve
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def _log_ratio(
     """
     lam = basis.eigenvalues
     slope = (cd - cdp) / lam / sigma_sq
-    const = -(np.sum(cd**2 / lam) - np.sum(cdp**2 / lam)) / (2.0 * sigma_sq)
+    const = -(cm_norm_sq(cd, basis) - cm_norm_sq(cdp, basis)) / (2.0 * sigma_sq)
     # einsum rather than BLAS gemv: the audit calls this from several threads
     # at once, and a threaded BLAS inside each would oversubscribe the cores.
     return const + np.einsum("...j,j->...", cx, slope)
@@ -145,58 +146,17 @@ def noise_energy(basis: SpectralBasis, sigma_sq: float) -> float:
     return sigma_sq * float(np.sum(basis.eigenvalues))
 
 
-def _release_meta(
-    basis: SpectralBasis, calib: CalibrationResult, seed: int, timestamp: str
-) -> ReleaseMeta:
-    family = basis.spec.family if basis.spec is not None else "custom"
-    rho = basis.spec.rho if basis.spec is not None else float("nan")
-    return ReleaseMeta(
-        kernel_family=family, rho=rho, seed=int(seed), timestamp=timestamp, **asdict(calib)
-    )
-
-
 def release_function(
-    mu_hat: Curve,
-    basis: SpectralBasis,
-    calib: CalibrationResult,
-    seed: int,
-    timestamp: str = "",
+    mu_hat: Curve, basis: SpectralBasis, calib: CalibrationResult, seed: int
 ) -> SanitizedRelease:
     """Full-function release mu_hat + noise; refuses a summary off the basis span."""
     _span_coefficients(mu_hat, basis, "summary")
     noise = sample_noise(basis, calib.sigma_sq, seed)
     released = Curve(mu_hat.values + noise.values, basis.grid)
-    return SanitizedRelease(_release_meta(basis, calib, seed, timestamp), curve=released)
-
-
-def release_projections(
-    mu_hat: Curve,
-    functionals: np.ndarray,
-    basis: SpectralBasis,
-    calib: CalibrationResult,
-    seed: int,
-    timestamp: str = "",
-) -> SanitizedRelease:
-    """Release a batch of linear functionals evaluated on one shared noisy curve.
-
-    Sharing a single draw across functionals gives the jointly Gaussian law
-    with covariance sigma_sq * F diag(lambda) F^T (F the functionals) and
-    keeps projection releases consistent with a full-function release under
-    the same seed.
-    """
-    f = np.atleast_2d(np.asarray(functionals, dtype=float))
-    if f.shape[1] != basis.m:
-        raise ValueError(f"functionals must have {basis.m} coefficients")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("functional has non-finite coefficients on the spectrum")
-    full = release_function(mu_hat, basis, calib, seed, timestamp)
-    values = f @ coefficients(full.curve, basis)
-    return SanitizedRelease(full.meta, projections=values)
-
-
-def derivative(curve: Curve) -> Curve:
-    """Finite-difference derivative: centered inside, one-sided at the ends."""
-    return Curve(np.gradient(curve.values, curve.grid.points), curve.grid)
+    family = basis.spec.family if basis.spec is not None else "custom"
+    rho = basis.spec.rho if basis.spec is not None else float("nan")
+    meta = ReleaseMeta(kernel_family=family, rho=rho, seed=int(seed), **asdict(calib))
+    return SanitizedRelease(meta, released)
 
 
 def density_log_ratio(

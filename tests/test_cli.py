@@ -113,6 +113,26 @@ def test_projections_zero_noise_match_smooth(tmp_path):
     assert all(float(v) == 0.0 for v in lines[1].split(","))
 
 
+def test_projections_equal_release_at_the_points(tmp_path):
+    sample = tmp_path / "sample.csv"
+    assert run("simulate", "--n", "10", "--grid-points", "40", "--seed", "3",
+               "--output", str(sample)) == 0
+    release_out, proj_out = tmp_path / "release.csv", tmp_path / "proj.csv"
+    common = ["--input", str(sample), "--rho", "0.01", "--seed", "5"]
+    assert run("release", *common, "--output", str(release_out)) == 0
+    grid, released = read_curves_csv(release_out)
+    idx = [0, 13, 39]
+    at = ",".join(repr(float(t)) for t in grid.points[idx])
+    assert run("projections", *common, "--at", at, "--output", str(proj_out)) == 0
+    assert float(read_meta(str(release_out) + ".meta")["sigma_sq"]) > 0.0
+    assert read_meta(str(proj_out) + ".meta") == read_meta(str(release_out) + ".meta")
+    lines = proj_out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert [float(v) for v in lines[0].split(",")] == list(grid.points[idx])
+    values = np.array([float(v) for v in lines[1].split(",")])
+    assert np.abs(values - released[0, idx]).max() <= 1e-12
+
+
 def test_audit_calibrated_pair_passes(tmp_path):
     grid = uniform_grid(30)
     basis = kernel_basis(KernelSpec("gaussian", 0.05), grid)
@@ -144,6 +164,21 @@ def test_audit_non_finite_sigma_sq_is_config_error(tmp_path, capsys, sigma_sq):
                "--output", str(report)) == 2
     assert "sigma_sq must be finite" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_audit_refuses_multi_curve_summary_file(tmp_path, capsys):
+    sample, smooth = tmp_path / "sample.csv", tmp_path / "smooth.csv"
+    assert run("simulate", "--n", "25", "--grid-points", "30", "--rho", "0.05",
+               "--output", str(sample)) == 0
+    assert run("smooth", "--input", str(sample), "--rho", "0.05",
+               "--output", str(smooth)) == 0
+    report = tmp_path / "audit.txt"
+    for d_path, dp_path in ((sample, smooth), (smooth, sample)):
+        assert run("audit", "--theta-d", str(d_path), "--theta-dp", str(dp_path),
+                   "--rho", "0.05", "--samples", "10000", "--output", str(report)) == 2
+        err = capsys.readouterr().err
+        assert str(sample) in err and "25 curves" in err
+        assert not report.exists()
 
 
 def test_cv_single_candidate_echoed(tmp_path):

@@ -14,14 +14,12 @@ from fdpriv import (
     cm_norm_sq,
     compatibility_check,
     density_log_ratio,
-    derivative,
     dp_audit,
     noise_energy,
     noise_scale,
     point_eval_functional,
     reconstruct,
     release_function,
-    release_projections,
     sample_noise,
 )
 
@@ -134,31 +132,8 @@ def test_release_projections_point_evaluation_zero_noise():
     mu_hat = reconstruct(np.array([0.5, 0.25, 0.0, 0.0, -0.1]), basis)
     k = 7
     f = point_eval_functional(basis, basis.grid.points[k])
-    rel = release_projections(mu_hat, f[None, :], basis, make_calibration(0.0, basis), 0)
-    assert rel.projections[0] == pytest.approx(mu_hat.values[k], rel=1e-12)
-
-
-def test_release_projections_shared_noise():
-    basis = toy_basis()
-    mu_hat = reconstruct(np.array([0.5, 0.25, 0.0, 0.0, -0.1]), basis)
-    f = point_eval_functional(basis, basis.grid.points[3])
-    rel = release_projections(
-        mu_hat, np.stack([f, f]), basis, make_calibration(0.9, basis), seed=21
-    )
-    assert rel.projections[0] == rel.projections[1]
-
-
-def test_release_projections_consistent_with_function_release():
-    basis = toy_basis()
-    mu_hat = reconstruct(np.array([0.5, 0.25, 0.0, 0.0, -0.1]), basis)
-    calib = make_calibration(0.9, basis)
-    functionals = np.stack(
-        [point_eval_functional(basis, basis.grid.points[k]) for k in (0, 5, 17)]
-    )
-    proj = release_projections(mu_hat, functionals, basis, calib, seed=5)
-    full = release_function(mu_hat, basis, calib, seed=5)
-    via_curve = functionals @ coefficients(full.curve, basis)
-    assert np.array_equal(proj.projections, via_curve)
+    rel = release_function(mu_hat, basis, make_calibration(0.0, basis), 0)
+    assert f @ coefficients(rel.curve, basis) == pytest.approx(mu_hat.values[k], rel=1e-12)
 
 
 def test_release_projections_covariance_matches_k_gram():
@@ -171,7 +146,7 @@ def test_release_projections_covariance_matches_k_gram():
     )
     draws = np.stack(
         [
-            release_projections(mu_hat, functionals, basis, calib, seed).projections
+            functionals @ coefficients(release_function(mu_hat, basis, calib, seed).curve, basis)
             for seed in range(10_000)
         ]
     )
@@ -179,29 +154,6 @@ def test_release_projections_covariance_matches_k_gram():
     target = sigma_sq * k_gram(functionals, basis)
     scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
     assert np.all(np.abs(emp - target) <= 0.05 * scale)
-
-
-def test_release_projections_rejects_nonfinite_functional():
-    basis = toy_basis()
-    mu_hat = reconstruct(np.zeros(basis.m), basis)
-    bad = np.full((1, basis.m), np.nan)
-    with pytest.raises(ValueError):
-        release_projections(mu_hat, bad, basis, make_calibration(0.1, basis), 0)
-
-
-def test_derivative_matches_centered_differences():
-    basis = toy_basis()
-    release = release_function(
-        reconstruct(np.eye(basis.m)[0], basis), basis, make_calibration(0.0, basis), 0
-    )
-    deriv = derivative(release.curve)
-    t = basis.grid.points
-    vals = basis.matrix[:, 0]
-    expected = np.empty_like(vals)
-    expected[1:-1] = (vals[2:] - vals[:-2]) / (t[2:] - t[:-2])
-    expected[0] = (vals[1] - vals[0]) / (t[1] - t[0])
-    expected[-1] = (vals[-1] - vals[-2]) / (t[-1] - t[-2])
-    assert np.abs(deriv.values - expected).max() <= 1e-10
 
 
 def test_density_log_ratio_equal_centers_is_zero():
