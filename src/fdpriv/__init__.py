@@ -66,7 +66,6 @@ from .spectral import (
     compatibility_check,
     decompose,
     kernel_basis,
-    point_eval_functional,
     reconstruct,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "pcv_score",
     "pcv_select",
     "penalized_mean",
-    "point_eval_functional",
     "reconstruct",
     "release_function",
     "sample_noise",

@@ -1,10 +1,12 @@
 """Command-line interface tying the modules into reproducible runs.
 
 Subcommands: simulate | smooth | release | projections | audit | cv | pcv |
-sweep.  Exit codes: 0 success, 2 configuration or parse error, 3 privacy
-refusal (epsilon > 1 or an incompatible summary), 4 numerical failure.
-Every output is a CSV or key=value file that reruns byte-identically from the
-same flags and seed.
+sweep.  Each accepts exactly the options its handler reads, declared once in
+``_OPTIONS``, and no abbreviation of them.  Every kernel basis keeps the
+modes above ``DEFAULT_TRUNCATION_TOL`` of the leading eigenvalue.  Exit codes:
+0 success, 2 configuration or parse error, 3 privacy refusal (epsilon > 1 or
+an incompatible summary), 4 numerical failure.  Every output is a CSV or
+key=value file that reruns byte-identically from the same flags and seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .mechanism import dp_audit, noise_energy, release_function
 from .selection import SelectionGrid, _cv_rho_scan, pcv_select
 from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
-from .spectral import DegenerateKernelError, coefficients, kernel_basis, point_eval_functional
+from .spectral import DEFAULT_TRUNCATION_TOL, DegenerateKernelError, kernel_basis
 
 SWEEP_PARAMETERS = ("phi", "rho", "kernel", "p", "epsilon", "delta", "n", "mean")
 
@@ -48,59 +50,60 @@ def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip() != ""]
 
 
-def _add_kernel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", default="gaussian", choices=KERNEL_FAMILIES,
-                   help="covariance kernel family (default gaussian)")
-    p.add_argument("--rho", type=float, default=0.001,
-                   help="kernel range parameter (default 0.001)")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative eigenvalue truncation threshold (default 1e-12)")
-
-
-def _add_smoother_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--phi", type=float, default=0.01,
-                   help="penalty parameter (default 0.01)")
-    p.add_argument("--eta", type=float, default=1.0,
-                   help="penalty exponent >= 1 (default 1)")
-
-
-def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1.0,
-                   help="privacy budget epsilon in (0, 1] (default 1)")
-    p.add_argument("--delta", type=float, default=0.1,
-                   help="privacy budget delta in (0, 1) (default 0.1)")
-
-
-def _add_method_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", default="exact_spectral", choices=GS_METHODS,
-                   help="sensitivity bound to calibrate with")
-
-
-def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=25, help="number of curves (default 25)")
-    p.add_argument("--p", type=float, default=4.0, help="score decay exponent (default 4)")
-    p.add_argument("--grid-points", type=int, default=100,
-                   help="equispaced grid size (default 100)")
-    p.add_argument("--mean", default="sin_default", choices=MEAN_NAMES,
-                   help="mean function name (default sin_default)")
-    p.add_argument("--score-halfwidth", type=float, default=0.4,
-                   help="uniform score halfwidth (default 0.4)")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--output", required=True, help="output file path")
+#: Every option of every subcommand, declared once; ``_COMMANDS`` names the
+#: ones each handler reads.
+_OPTIONS = {
+    "--input": dict(required=True, help="curve CSV holding the sample"),
+    "--tau": dict(type=float, default=None,
+                  help="a-priori bound on every curve's norm (default: the data's largest)"),
+    "--theta-d": dict(required=True, help="curve CSV with the first summary"),
+    "--theta-dp": dict(required=True, help="curve CSV with the adjacent summary"),
+    "--sweep": dict(required=True, choices=SWEEP_PARAMETERS,
+                    help="the single parameter to vary"),
+    "--values": dict(required=True, help="comma-separated values for the swept parameter"),
+    "--kernel": dict(default="gaussian", choices=KERNEL_FAMILIES,
+                     help="covariance kernel family (default gaussian)"),
+    "--rho": dict(type=float, default=0.001, help="kernel range parameter (default 0.001)"),
+    "--phi": dict(type=float, default=0.01, help="penalty parameter (default 0.01)"),
+    "--eta": dict(type=float, default=1.0, help="penalty exponent >= 1 (default 1)"),
+    "--epsilon": dict(type=float, default=1.0,
+                      help="privacy budget epsilon in (0, 1] (default 1)"),
+    "--delta": dict(type=float, default=0.1, help="privacy budget delta in (0, 1) (default 0.1)"),
+    "--method": dict(default="exact_spectral", choices=GS_METHODS,
+                     help="sensitivity bound to calibrate with"),
+    "--n": dict(type=int, default=25, help="number of curves (default 25)"),
+    "--p": dict(type=float, default=4.0, help="score decay exponent (default 4)"),
+    "--grid-points": dict(type=int, default=100, help="equispaced grid size (default 100)"),
+    "--mean": dict(default="sin_default", choices=MEAN_NAMES,
+                   help="mean function name (default sin_default)"),
+    "--score-halfwidth": dict(type=float, default=0.4,
+                              help="uniform score halfwidth (default 0.4)"),
+    "--at": dict(type=_float_list, required=True,
+                 help="comma-separated grid points to evaluate at"),
+    "--sigma-sq": dict(type=float, default=None,
+                       help="noise variance to audit (default: calibrated for the pair)"),
+    "--samples": dict(type=int, default=100_000,
+                      help="Monte-Carlo sample count (default 100000)"),
+    "--phi-grid": dict(type=_float_list, required=True,
+                       help="comma-separated candidate penalties"),
+    "--rho-grid": dict(type=_float_list, required=True,
+                       help="comma-separated candidate range parameters"),
+    "--folds": dict(type=int, default=10, help="CV folds (default 10)"),
+    "--calibrate-on-full-n": dict(action="store_true",
+                                  help="calibrate fold noise with the full sample size and tau"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--output": dict(required=True, help="output file path"),
+}
 
 
 def _load_sample(args) -> SampleSet:
     grid, values = read_curves_csv(args.input)
-    tau = getattr(args, "tau", None)
-    return SampleSet.from_values(values, grid, tau)
+    return SampleSet.from_values(values, grid, args.tau)
 
 
 def cmd_simulate(args) -> None:
     grid = uniform_grid(args.grid_points)
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), grid, args.tol)
+    basis = kernel_basis(KernelSpec(args.kernel, args.rho), grid)
     cfg = SimConfig(args.n, args.p, args.mean, args.score_halfwidth, args.seed)
     data = kl_simulate(cfg, basis)
     write_curves_csv(args.output, grid, data.values)
@@ -115,7 +118,7 @@ def cmd_simulate(args) -> None:
         "score_halfwidth": args.score_halfwidth,
         "modes": basis.m,
         "tau": data.tau,
-        "tol": args.tol,
+        "tol": DEFAULT_TRUNCATION_TOL,
         "seed": args.seed,
     })
     print(f"wrote {args.n} curves to {args.output}")
@@ -123,7 +126,7 @@ def cmd_simulate(args) -> None:
 
 def cmd_smooth(args) -> None:
     data = _load_sample(args)
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), data.grid, args.tol)
+    basis = kernel_basis(KernelSpec(args.kernel, args.rho), data.grid)
     mu_hat = penalized_mean(data, basis, SmootherConfig(args.phi, args.eta))
     write_curves_csv(args.output, data.grid, mu_hat.values)
     write_meta(meta_path(args.output), {
@@ -135,15 +138,14 @@ def cmd_smooth(args) -> None:
         "n": data.n,
         "tau": data.tau,
         "modes": basis.m,
-        "tol": args.tol,
-        "seed": args.seed,
+        "tol": DEFAULT_TRUNCATION_TOL,
     })
     print(f"wrote smoothed mean to {args.output}")
 
 
 def _release_pipeline(args):
     data = _load_sample(args)
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), data.grid, args.tol)
+    basis = kernel_basis(KernelSpec(args.kernel, args.rho), data.grid)
     mu_hat = penalized_mean(data, basis, SmootherConfig(args.phi, args.eta))
     budget = PrivacyBudget(args.epsilon, args.delta)
     calib = calibrate(basis, args.phi, args.eta, data.tau, data.n, budget, args.method)
@@ -159,15 +161,21 @@ def cmd_release(args) -> None:
           f"(delta_sq={format_float(calib.delta_sq)}, sigma_sq={format_float(calib.sigma_sq)})")
 
 
+def _grid_row(grid, t: float) -> int:
+    """Index of the grid point at t; point evaluations exist only there."""
+    idx = np.nonzero(np.isclose(grid.points, t, rtol=0.0, atol=1e-12))[0]
+    if idx.size == 0:
+        raise ValueError(f"t={t} is not a grid point; point evaluations need one")
+    return int(idx[0])
+
+
 def cmd_projections(args) -> None:
     data, basis, mu_hat, calib = _release_pipeline(args)
-    points = args.at
-    functionals = np.stack([point_eval_functional(basis, t) for t in points])
+    rows = [_grid_row(data.grid, t) for t in args.at]
     release = release_function(mu_hat, basis, calib, args.seed)
-    values = functionals @ coefficients(release.curve, basis)
-    write_long_csv(args.output, [format_float(t) for t in points], [values])
+    write_long_csv(args.output, [format_float(t) for t in args.at], [release.curve.values[rows]])
     write_meta(meta_path(args.output), release.meta.as_dict())
-    print(f"wrote {len(points)} sanitized point evaluations to {args.output}")
+    print(f"wrote {len(rows)} sanitized point evaluations to {args.output}")
 
 
 def _read_single_curve(path):
@@ -180,11 +188,9 @@ def _read_single_curve(path):
 def cmd_audit(args) -> None:
     theta_d = _read_single_curve(args.theta_d)
     theta_dp = _read_single_curve(args.theta_dp)
-    if args.swap:
-        theta_d, theta_dp = theta_dp, theta_d
     if not theta_d.grid.matches(theta_dp.grid):
         raise ValueError("theta curves live on different grids")
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), theta_d.grid, args.tol)
+    basis = kernel_basis(KernelSpec(args.kernel, args.rho), theta_d.grid)
     budget = PrivacyBudget(args.epsilon, args.delta)
     report = dp_audit(theta_d, theta_dp, basis, budget, args.sigma_sq, args.samples, args.seed)
     write_meta(args.output, {
@@ -199,7 +205,6 @@ def cmd_audit(args) -> None:
         "mc_stderr": report.mc_stderr,
         "pass": report.passed,
         "undercalibrated": report.undercalibrated,
-        "swap": args.swap,
         "seed": args.seed,
     })
     verdict = "pass" if report.passed else "FAIL"
@@ -208,10 +213,11 @@ def cmd_audit(args) -> None:
 
 
 def cmd_cv(args) -> None:
-    data = _load_sample(args)
+    grid, values = read_curves_csv(args.input)
+    data = SampleSet.from_values(values, grid)
     rho_values = sorted(args.rho_grid)
     scores, best = _cv_rho_scan(data, args.kernel, args.phi, rho_values, args.eta,
-                                args.folds, args.seed, args.tol)
+                                args.folds, args.seed, DEFAULT_TRUNCATION_TOL)
     write_meta(args.output, {
         "command": "cv",
         "kernel_family": args.kernel,
@@ -234,8 +240,7 @@ def cmd_pcv(args) -> None:
                          args.folds)
     budget = PrivacyBudget(args.epsilon, args.delta)
     phi_star, rho_star = pcv_select(
-        data, args.kernel, grid, args.eta, budget, args.seed,
-        args.calibrate_on_full_n, args.tol,
+        data, args.kernel, grid, args.eta, budget, args.seed, args.calibrate_on_full_n,
     )
     write_meta(args.output, {
         "command": "pcv",
@@ -245,6 +250,7 @@ def cmd_pcv(args) -> None:
         "delta": budget.delta,
         "folds": grid.folds,
         "n": data.n,
+        "tau": data.tau,
         "phi_values": ",".join(format_float(v) for v in grid.phi_values),
         "rho_values": ",".join(format_float(v) for v in grid.rho_values),
         "selected_phi": phi_star,
@@ -274,7 +280,7 @@ def _sweep_point(parameter, value, args):
     }
     pack[parameter] = value
     grid = uniform_grid(args.grid_points)
-    basis = kernel_basis(KernelSpec(pack["kernel"], pack["rho"]), grid, args.tol)
+    basis = kernel_basis(KernelSpec(pack["kernel"], pack["rho"]), grid)
     mu = default_mean(pack["mean"], grid)
     cfg = SimConfig(pack["n"], pack["p"], pack["mean"], args.score_halfwidth, args.seed)
     data = kl_simulate(cfg, basis)
@@ -314,104 +320,50 @@ def cmd_sweep(args) -> None:
         "grid_points": args.grid_points,
         "score_halfwidth": args.score_halfwidth,
         "method": args.method,
-        "tol": args.tol,
+        "tol": DEFAULT_TRUNCATION_TOL,
         "seed": args.seed,
     })
     print(f"wrote sweep over {args.sweep} ({len(values)} values) to {args.output}")
+
+
+#: Each subcommand: its handler, its help line and the options it reads.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "simulate curves by Karhunen-Loeve expansion",
+                 "--kernel --rho --n --p --grid-points --mean --score-halfwidth --seed --output"),
+    "smooth": (cmd_smooth, "penalized mean estimate of a curve sample",
+               "--input --tau --kernel --rho --phi --eta --output"),
+    "release": (cmd_release, "sanitized full-function release",
+                "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
+                " --seed --output"),
+    "projections": (cmd_projections, "sanitized point evaluations",
+                    "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
+                    " --at --seed --output"),
+    "audit": (cmd_audit, "Monte-Carlo audit of an adjacent summary pair",
+              "--theta-d --theta-dp --kernel --rho --epsilon --delta --sigma-sq --samples"
+              " --seed --output"),
+    "cv": (cmd_cv, "cross-validate the kernel range at fixed phi",
+           "--input --kernel --phi --eta --rho-grid --folds --seed --output"),
+    "pcv": (cmd_pcv, "private cross-validation over (phi, rho)",
+            "--input --tau --kernel --eta --epsilon --delta --phi-grid --rho-grid --folds"
+            " --calibrate-on-full-n --seed --output"),
+    "sweep": (cmd_sweep, "vary one parameter and tabulate expected errors",
+              "--sweep --values --kernel --rho --phi --eta --epsilon --delta --n --p"
+              " --grid-points --mean --score-halfwidth --method --seed --output"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdpriv",
         description="Differentially private releases of curve-valued statistics.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate curves by Karhunen-Loeve expansion")
-    _add_kernel_args(p)
-    _add_sim_args(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("smooth", help="penalized mean estimate of a curve sample")
-    p.add_argument("--input", required=True, help="curve CSV to smooth")
-    p.add_argument("--tau", type=float, default=None,
-                   help="override the norm bound (default: from data)")
-    _add_kernel_args(p)
-    _add_smoother_args(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_smooth)
-
-    for name, handler in (("release", cmd_release), ("projections", cmd_projections)):
-        p = sub.add_parser(
-            name,
-            help="sanitized full-function release" if name == "release"
-            else "sanitized point evaluations",
-        )
-        p.add_argument("--input", required=True, help="curve CSV to privatize")
-        p.add_argument("--tau", type=float, default=None,
-                       help="override the norm bound (default: from data)")
-        _add_kernel_args(p)
-        _add_smoother_args(p)
-        _add_budget_args(p)
-        _add_method_arg(p)
-        if name == "projections":
-            p.add_argument("--at", type=_float_list, required=True,
-                           help="comma-separated grid points to evaluate at")
-        _add_common(p)
+    for name, (handler, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser("audit", help="Monte-Carlo audit of an adjacent summary pair")
-    p.add_argument("--theta-d", required=True, help="curve CSV with the first summary")
-    p.add_argument("--theta-dp", required=True, help="curve CSV with the adjacent summary")
-    _add_kernel_args(p)
-    _add_budget_args(p)
-    p.add_argument("--sigma-sq", type=float, default=None,
-                   help="noise variance to audit (default: calibrated for the pair)")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="Monte-Carlo sample count (default 100000)")
-    p.add_argument("--swap", action="store_true", help="audit the swapped direction")
-    _add_common(p)
-    p.set_defaults(handler=cmd_audit)
-
-    p = sub.add_parser("cv", help="cross-validate the kernel range at fixed phi")
-    p.add_argument("--input", required=True, help="curve CSV")
-    _add_kernel_args(p)
-    _add_smoother_args(p)
-    p.add_argument("--rho-grid", type=_float_list, required=True,
-                   help="comma-separated candidate range parameters")
-    p.add_argument("--folds", type=int, default=10, help="CV folds (default 10)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_cv)
-
-    p = sub.add_parser("pcv", help="private cross-validation over (phi, rho)")
-    p.add_argument("--input", required=True, help="curve CSV")
-    _add_kernel_args(p)
-    p.add_argument("--eta", type=float, default=1.0, help="penalty exponent (default 1)")
-    _add_budget_args(p)
-    p.add_argument("--phi-grid", type=_float_list, required=True,
-                   help="comma-separated candidate penalties")
-    p.add_argument("--rho-grid", type=_float_list, required=True,
-                   help="comma-separated candidate range parameters")
-    p.add_argument("--folds", type=int, default=10, help="CV folds (default 10)")
-    p.add_argument("--calibrate-on-full-n", action="store_true",
-                   help="calibrate fold noise with the full sample size and tau")
-    _add_common(p)
-    p.set_defaults(handler=cmd_pcv)
-
-    p = sub.add_parser("sweep", help="vary one parameter and tabulate expected errors")
-    p.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS,
-                   help="the single parameter to vary")
-    p.add_argument("--values", required=True,
-                   help="comma-separated values for the swept parameter")
-    _add_kernel_args(p)
-    _add_smoother_args(p)
-    _add_budget_args(p)
-    _add_sim_args(p)
-    _add_method_arg(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
     return parser
 
 

@@ -182,10 +182,3 @@ def compatibility_check(x: Curve, basis: SpectralBasis) -> CompatibilityReport:
     compatible = residual_energy <= RELEASE_COMPAT_TOL * total_energy
     return CompatibilityReport(compatible, fraction)
 
-
-def point_eval_functional(basis: SpectralBasis, t: float) -> np.ndarray:
-    """Coefficient vector of the point-evaluation functional at a grid point."""
-    idx = np.nonzero(np.isclose(basis.grid.points, t, rtol=0.0, atol=1e-12))[0]
-    if idx.size == 0:
-        raise ValueError(f"t={t} is not a grid point; point evaluations need one")
-    return basis.matrix[idx[0], :].copy()

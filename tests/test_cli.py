@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -7,8 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdpriv import KernelSpec, kernel_basis, reconstruct, uniform_grid
-from fdpriv.cli import main
+from fdpriv import (
+    KernelSpec,
+    PrivacyBudget,
+    SampleSet,
+    SelectionGrid,
+    kernel_basis,
+    pcv_select,
+    reconstruct,
+    uniform_grid,
+)
+from fdpriv.cli import build_parser, main
 from fdpriv.io import read_curves_csv, read_meta, write_curves_csv
 
 
@@ -101,6 +111,70 @@ def test_unknown_flag_is_config_error(tmp_path):
     assert run("simulate", "--output", str(tmp_path / "x.csv"), "--bogus") == 2
 
 
+#: The options each subcommand accepts: exactly the ones its handler reads.
+SUBCOMMAND_OPTIONS = {
+    "simulate": "--kernel --rho --n --p --grid-points --mean --score-halfwidth --seed --output",
+    "smooth": "--input --tau --kernel --rho --phi --eta --output",
+    "release": "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
+               " --seed --output",
+    "projections": "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
+                   " --at --seed --output",
+    "audit": "--theta-d --theta-dp --kernel --rho --epsilon --delta --sigma-sq --samples"
+             " --seed --output",
+    "cv": "--input --kernel --phi --eta --rho-grid --folds --seed --output",
+    "pcv": "--input --tau --kernel --eta --epsilon --delta --phi-grid --rho-grid --folds"
+           " --calibrate-on-full-n --seed --output",
+    "sweep": "--sweep --values --kernel --rho --phi --eta --epsilon --delta --n --p"
+             " --grid-points --mean --score-halfwidth --method --seed --output",
+}
+
+
+def test_each_subcommand_accepts_exactly_the_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == {name: set(opts.split()) for name, opts in SUBCOMMAND_OPTIONS.items()}
+    assert sum(len(opts) for opts in accepted.values()) == 85
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["cv", "--input", "{sample}", "--rho-grid", "0.02", "--folds", "3"], ["--rho", "0.5"]),
+        # cv's score does not depend on tau, so it takes none
+        (["cv", "--input", "{sample}", "--rho-grid", "0.02", "--folds", "3"], ["--tau", "3"]),
+        (["pcv", "--input", "{sample}", "--phi-grid", "0.01", "--rho-grid", "0.02",
+          "--folds", "3"], ["--rho", "0.5"]),
+        (["release", "--input", "{sample}"], ["--tol", "1e-10"]),
+        (["smooth", "--input", "{sample}"], ["--seed", "1"]),
+        (["audit", "--theta-d", "{theta}", "--theta-dp", "{theta2}", "--rho", "0.05",
+          "--samples", "10000"], ["--swap"]),
+        (["release", "--input", "{sample}"], ["--eps", "0.5"]),  # no prefix aliases
+        (["pcv", "--input", "{sample}", "--phi-grid", "0.01", "--rho-grid", "0.02",
+          "--folds", "3"], ["--rho-g", "0.5"]),
+    ],
+    ids=["cv-rho", "cv-tau", "pcv-rho", "release-tol", "smooth-seed", "audit-swap",
+         "release-eps", "pcv-rho-g"],
+)
+def test_options_no_handler_reads_are_refused(tmp_path, capsys, argv, extra):
+    grid = uniform_grid(30)
+    basis = kernel_basis(KernelSpec("gaussian", 0.05), grid)
+    theta = reconstruct(0.3 * np.eye(basis.m)[0], basis)
+    paths = {"sample": tmp_path / "sample.csv", "theta": tmp_path / "theta.csv",
+             "theta2": tmp_path / "theta2.csv"}
+    write_curves_csv(paths["sample"], grid, 0.2 * np.random.default_rng(3).normal(size=(6, 30)))
+    write_curves_csv(paths["theta"], grid, theta.values)
+    write_curves_csv(paths["theta2"], grid, -theta.values)
+    argv = [a.format(**paths) for a in argv] + ["--output", str(tmp_path / "out")]
+    assert run(*argv) == 0  # the same call without the extra option runs
+    capsys.readouterr()
+    assert run(*argv, *extra) == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
 def test_projections_zero_noise_match_smooth(tmp_path):
     grid = uniform_grid(20)
     sample = tmp_path / "zeros.csv"
@@ -130,7 +204,16 @@ def test_projections_equal_release_at_the_points(tmp_path):
     assert len(lines) == 2
     assert [float(v) for v in lines[0].split(",")] == list(grid.points[idx])
     values = np.array([float(v) for v in lines[1].split(",")])
-    assert np.abs(values - released[0, idx]).max() <= 1e-12
+    assert np.array_equal(values, released[0, idx])
+
+
+def test_projections_refuse_a_point_off_the_grid(tmp_path, capsys):
+    sample, out = tmp_path / "sample.csv", tmp_path / "proj.csv"
+    assert run("simulate", "--output", str(sample)) == 0  # the 100-point grid
+    assert run("projections", "--input", str(sample), "--at", "0.5",
+               "--output", str(out)) == 2
+    assert "t=0.5 is not a grid point; point evaluations need one" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_audit_calibrated_pair_passes(tmp_path):
@@ -207,6 +290,22 @@ def test_pcv_zero_data_matches_cv(tmp_path):
     cv_meta, pcv_meta = read_meta(cv_report), read_meta(pcv_report)
     assert float(pcv_meta["selected_rho"]) == float(cv_meta["selected_rho"])
     assert float(pcv_meta["selected_phi"]) == 0.01  # tie rule: smallest phi
+
+
+def test_pcv_reads_a_stated_tau(tmp_path):
+    sample, report = tmp_path / "sample.csv", tmp_path / "pcv.txt"
+    assert run("simulate", "--n", "200", "--seed", "1", "--output", str(sample)) == 0
+    assert run("pcv", "--input", str(sample), "--phi-grid", "0.001,0.01,0.1,1",
+               "--rho-grid", "0.0005,0.001,0.002", "--tau", "3",
+               "--output", str(report)) == 0
+    meta = read_meta(report)
+    assert meta["tau"] == "3.0"
+    grid, values = read_curves_csv(sample)
+    sel = SelectionGrid((0.001, 0.01, 0.1, 1.0), (0.0005, 0.001, 0.002), folds=10)
+    budget = PrivacyBudget(1.0, 0.1)
+    stated = pcv_select(SampleSet.from_values(values, grid, 3.0), "gaussian", sel, 1.0, budget)
+    derived = pcv_select(SampleSet.from_values(values, grid), "gaussian", sel, 1.0, budget)
+    assert (float(meta["selected_phi"]), float(meta["selected_rho"])) == stated != derived
 
 
 def test_sweep_single_point(tmp_path):

@@ -17,7 +17,6 @@ from fdpriv import (
     dp_audit,
     noise_energy,
     noise_scale,
-    point_eval_functional,
     reconstruct,
     release_function,
     sample_noise,
@@ -131,7 +130,7 @@ def test_release_projections_point_evaluation_zero_noise():
     basis = toy_basis()
     mu_hat = reconstruct(np.array([0.5, 0.25, 0.0, 0.0, -0.1]), basis)
     k = 7
-    f = point_eval_functional(basis, basis.grid.points[k])
+    f = basis.matrix[k]
     rel = release_function(mu_hat, basis, make_calibration(0.0, basis), 0)
     assert f @ coefficients(rel.curve, basis) == pytest.approx(mu_hat.values[k], rel=1e-12)
 
@@ -141,9 +140,7 @@ def test_release_projections_covariance_matches_k_gram():
     sigma_sq = 0.7
     calib = make_calibration(sigma_sq, basis)
     mu_hat = reconstruct(np.zeros(basis.m), basis)
-    functionals = np.stack(
-        [point_eval_functional(basis, basis.grid.points[k]) for k in (2, 30)]
-    )
+    functionals = basis.matrix[[2, 30]]
     draws = np.stack(
         [
             functionals @ coefficients(release_function(mu_hat, basis, calib, seed).curve, basis)

@@ -14,7 +14,6 @@ from fdpriv import (
     decompose,
     gram_matrix,
     grid_from_points,
-    point_eval_functional,
     reconstruct,
     uniform_grid,
 )
@@ -241,10 +240,7 @@ def test_compatibility_check_detects_off_span():
 
 def test_k_gram_and_point_eval():
     basis = toy_basis()
-    f1 = point_eval_functional(basis, basis.grid.points[3])
-    assert np.array_equal(f1, basis.matrix[3, :])
+    f1 = basis.matrix[3]
     gram = k_gram(np.stack([f1, f1]), basis)
     expected = float(np.sum(basis.eigenvalues * f1**2))
     assert np.allclose(gram, expected, rtol=1e-12)
-    with pytest.raises(ValueError):
-        point_eval_functional(basis, 0.1234567)  # not a grid point
