@@ -7,6 +7,10 @@ modes above ``DEFAULT_TRUNCATION_TOL`` of the leading eigenvalue.  Exit codes:
 0 success, 2 configuration or parse error, 3 privacy refusal (epsilon > 1 or
 an incompatible summary), 4 numerical failure.  Every output is a CSV or
 key=value file that reruns byte-identically from the same flags and seed.
+``release`` and ``projections`` write the release's ``ReleaseMeta`` as their
+sidecar; every other command's sidecar (``_write_sidecar``) holds
+``command``, each option the command read under its argparse dest except the
+file paths, then the command's outputs.
 """
 
 from __future__ import annotations
@@ -58,10 +62,10 @@ _OPTIONS = {
                   help="a-priori bound on every curve's norm (default: the data's largest)"),
     "--theta-d": dict(required=True, help="curve CSV with the first summary"),
     "--theta-dp": dict(required=True, help="curve CSV with the adjacent summary"),
-    "--sweep": dict(required=True, choices=SWEEP_PARAMETERS,
+    "--sweep": dict(required=True, choices=SWEEP_PARAMETERS, dest="parameter",
                     help="the single parameter to vary"),
     "--values": dict(required=True, help="comma-separated values for the swept parameter"),
-    "--kernel": dict(default="gaussian", choices=KERNEL_FAMILIES,
+    "--kernel": dict(default="gaussian", choices=KERNEL_FAMILIES, dest="kernel_family",
                      help="covariance kernel family (default gaussian)"),
     "--rho": dict(type=float, default=0.001, help="kernel range parameter (default 0.001)"),
     "--phi": dict(type=float, default=0.01, help="penalty parameter (default 0.01)"),
@@ -82,11 +86,11 @@ _OPTIONS = {
                  help="comma-separated grid points to evaluate at"),
     "--sigma-sq": dict(type=float, default=None,
                        help="noise variance to audit (default: calibrated for the pair)"),
-    "--samples": dict(type=int, default=100_000,
+    "--samples": dict(type=int, default=100_000, dest="n_samples",
                       help="Monte-Carlo sample count (default 100000)"),
-    "--phi-grid": dict(type=_float_list, required=True,
+    "--phi-grid": dict(type=_float_list, required=True, dest="phi_values",
                        help="comma-separated candidate penalties"),
-    "--rho-grid": dict(type=_float_list, required=True,
+    "--rho-grid": dict(type=_float_list, required=True, dest="rho_values",
                        help="comma-separated candidate range parameters"),
     "--folds": dict(type=int, default=10, help="CV folds (default 10)"),
     "--calibrate-on-full-n": dict(action="store_true",
@@ -96,60 +100,64 @@ _OPTIONS = {
 }
 
 
-def _load_sample(args) -> SampleSet:
-    grid, values = read_curves_csv(args.input)
-    return SampleSet.from_values(values, grid, args.tau)
+#: Options naming files; a sidecar records the rest.
+_FILE_OPTIONS = ("--input", "--theta-d", "--theta-dp", "--output")
+
+
+def _dest(option: str) -> str:
+    return _OPTIONS[option].get("dest", option[2:].replace("-", "_"))
+
+
+def _write_sidecar(path, args, **outputs) -> None:
+    """Write ``command``, each non-file option the command read, then its outputs."""
+    dests = [_dest(o) for o in _COMMANDS[args.command][2].split() if o not in _FILE_OPTIONS]
+    write_meta(path, {"command": args.command, **{d: getattr(args, d) for d in dests}, **outputs})
+
+
+def _load_sample(path, tau=None) -> SampleSet:
+    grid, values = read_curves_csv(path)
+    return SampleSet.from_values(values, grid, tau)
+
+
+def _basis(args, grid):
+    return kernel_basis(KernelSpec(args.kernel_family, args.rho), grid)
+
+
+def _simulate(args, basis):
+    return kl_simulate(SimConfig(args.n, args.p, args.mean, args.score_halfwidth, args.seed),
+                       basis)
+
+
+def _smooth_and_calibrate(args, data, basis):
+    mu_hat = penalized_mean(data, basis, SmootherConfig(args.phi, args.eta))
+    budget = PrivacyBudget(args.epsilon, args.delta)
+    return mu_hat, calibrate(basis, args.phi, args.eta, data.tau, data.n, budget, args.method)
 
 
 def cmd_simulate(args) -> None:
     grid = uniform_grid(args.grid_points)
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), grid)
-    cfg = SimConfig(args.n, args.p, args.mean, args.score_halfwidth, args.seed)
-    data = kl_simulate(cfg, basis)
+    basis = _basis(args, grid)
+    data = _simulate(args, basis)
     write_curves_csv(args.output, grid, data.values)
-    write_meta(meta_path(args.output), {
-        "command": "simulate",
-        "kernel_family": args.kernel,
-        "rho": args.rho,
-        "grid_points": args.grid_points,
-        "n": args.n,
-        "p": args.p,
-        "mean": args.mean,
-        "score_halfwidth": args.score_halfwidth,
-        "modes": basis.m,
-        "tau": data.tau,
-        "tol": DEFAULT_TRUNCATION_TOL,
-        "seed": args.seed,
-    })
+    _write_sidecar(meta_path(args.output), args, modes=basis.m, tau=data.tau,
+                   tol=DEFAULT_TRUNCATION_TOL)
     print(f"wrote {args.n} curves to {args.output}")
 
 
 def cmd_smooth(args) -> None:
-    data = _load_sample(args)
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), data.grid)
+    data = _load_sample(args.input)
+    basis = _basis(args, data.grid)
     mu_hat = penalized_mean(data, basis, SmootherConfig(args.phi, args.eta))
     write_curves_csv(args.output, data.grid, mu_hat.values)
-    write_meta(meta_path(args.output), {
-        "command": "smooth",
-        "kernel_family": args.kernel,
-        "rho": args.rho,
-        "phi": args.phi,
-        "eta": args.eta,
-        "n": data.n,
-        "tau": data.tau,
-        "modes": basis.m,
-        "tol": DEFAULT_TRUNCATION_TOL,
-    })
+    _write_sidecar(meta_path(args.output), args, n=data.n, tau=data.tau, modes=basis.m,
+                   tol=DEFAULT_TRUNCATION_TOL)
     print(f"wrote smoothed mean to {args.output}")
 
 
 def _release_pipeline(args):
-    data = _load_sample(args)
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), data.grid)
-    mu_hat = penalized_mean(data, basis, SmootherConfig(args.phi, args.eta))
-    budget = PrivacyBudget(args.epsilon, args.delta)
-    calib = calibrate(basis, args.phi, args.eta, data.tau, data.n, budget, args.method)
-    return data, basis, mu_hat, calib
+    data = _load_sample(args.input, args.tau)
+    basis = _basis(args, data.grid)
+    return (data, basis, *_smooth_and_calibrate(args, data, basis))
 
 
 def cmd_release(args) -> None:
@@ -190,74 +198,38 @@ def cmd_audit(args) -> None:
     theta_dp = _read_single_curve(args.theta_dp)
     if not theta_d.grid.matches(theta_dp.grid):
         raise ValueError("theta curves live on different grids")
-    basis = kernel_basis(KernelSpec(args.kernel, args.rho), theta_d.grid)
+    basis = _basis(args, theta_d.grid)
     budget = PrivacyBudget(args.epsilon, args.delta)
-    report = dp_audit(theta_d, theta_dp, basis, budget, args.sigma_sq, args.samples, args.seed)
-    write_meta(args.output, {
-        "command": "audit",
-        "kernel_family": args.kernel,
-        "rho": args.rho,
-        "epsilon": report.epsilon,
-        "delta": report.delta,
-        "sigma_sq": report.sigma_sq,
-        "n_samples": report.n_samples,
-        "empirical_violation_rate": report.empirical_violation_rate,
-        "mc_stderr": report.mc_stderr,
-        "pass": report.passed,
-        "undercalibrated": report.undercalibrated,
-        "seed": args.seed,
-    })
+    report = dp_audit(theta_d, theta_dp, basis, budget, args.sigma_sq, args.n_samples, args.seed)
+    _write_sidecar(args.output, args, sigma_sq=report.sigma_sq,
+                   empirical_violation_rate=report.empirical_violation_rate,
+                   mc_stderr=report.mc_stderr, undercalibrated=report.undercalibrated,
+                   **{"pass": report.passed})
     verdict = "pass" if report.passed else "FAIL"
     print(f"audit {verdict}: rate={format_float(report.empirical_violation_rate)} "
           f"vs delta={format_float(report.delta)}")
 
 
 def cmd_cv(args) -> None:
-    grid, values = read_curves_csv(args.input)
-    data = SampleSet.from_values(values, grid)
-    rho_values = sorted(args.rho_grid)
-    scores, best = _cv_rho_scan(data, args.kernel, args.phi, rho_values, args.eta,
+    data = _load_sample(args.input)
+    rho_values = sorted(args.rho_values)
+    scores, best = _cv_rho_scan(data, args.kernel_family, args.phi, rho_values, args.eta,
                                 args.folds, args.seed, DEFAULT_TRUNCATION_TOL)
-    write_meta(args.output, {
-        "command": "cv",
-        "kernel_family": args.kernel,
-        "phi": args.phi,
-        "eta": args.eta,
-        "folds": args.folds,
-        "n": data.n,
-        "rho_values": ",".join(format_float(r) for r in rho_values),
-        "scores": ",".join(format_float(s) for s in scores),
-        "selected_rho": rho_values[best],
-        "selected_score": scores[best],
-        "seed": args.seed,
-    })
+    _write_sidecar(args.output, args, n=data.n, rho_values=rho_values, scores=scores,
+                   selected_rho=rho_values[best], selected_score=scores[best])
     print(f"cv selected rho={format_float(rho_values[best])}")
 
 
 def cmd_pcv(args) -> None:
-    data = _load_sample(args)
-    grid = SelectionGrid(tuple(sorted(args.phi_grid)), tuple(sorted(args.rho_grid)),
+    data = _load_sample(args.input, args.tau)
+    grid = SelectionGrid(tuple(sorted(args.phi_values)), tuple(sorted(args.rho_values)),
                          args.folds)
     budget = PrivacyBudget(args.epsilon, args.delta)
     phi_star, rho_star = pcv_select(
-        data, args.kernel, grid, args.eta, budget, args.seed, args.calibrate_on_full_n,
+        data, args.kernel_family, grid, args.eta, budget, args.seed, args.calibrate_on_full_n,
     )
-    write_meta(args.output, {
-        "command": "pcv",
-        "kernel_family": args.kernel,
-        "eta": args.eta,
-        "epsilon": budget.epsilon,
-        "delta": budget.delta,
-        "folds": grid.folds,
-        "n": data.n,
-        "tau": data.tau,
-        "phi_values": ",".join(format_float(v) for v in grid.phi_values),
-        "rho_values": ",".join(format_float(v) for v in grid.rho_values),
-        "selected_phi": phi_star,
-        "selected_rho": rho_star,
-        "calibrate_on_full_n": args.calibrate_on_full_n,
-        "seed": args.seed,
-    })
+    _write_sidecar(args.output, args, n=data.n, tau=data.tau, phi_values=grid.phi_values,
+                   rho_values=grid.rho_values, selected_phi=phi_star, selected_rho=rho_star)
     print(f"pcv selected phi={format_float(phi_star)} rho={format_float(rho_star)}")
 
 
@@ -272,58 +244,29 @@ def _sweep_values(parameter: str, raw: str):
     return _float_list(raw)
 
 
-def _sweep_point(parameter, value, args):
-    pack = {
-        "kernel": args.kernel, "rho": args.rho, "phi": args.phi, "eta": args.eta,
-        "epsilon": args.epsilon, "delta": args.delta, "n": args.n, "p": args.p,
-        "mean": args.mean,
-    }
-    pack[parameter] = value
-    grid = uniform_grid(args.grid_points)
-    basis = kernel_basis(KernelSpec(pack["kernel"], pack["rho"]), grid)
-    mu = default_mean(pack["mean"], grid)
-    cfg = SimConfig(pack["n"], pack["p"], pack["mean"], args.score_halfwidth, args.seed)
-    data = kl_simulate(cfg, basis)
-    mu_hat = penalized_mean(data, basis, SmootherConfig(pack["phi"], pack["eta"]))
-    budget = PrivacyBudget(pack["epsilon"], pack["delta"])
-    calib = calibrate(basis, pack["phi"], pack["eta"], data.tau, data.n, budget,
-                      args.method)
-    err_smooth = float(grid.norm_sq(mu_hat.values - mu.values))
-    err_noise = noise_energy(basis, calib.sigma_sq)
-    return err_smooth, err_noise, err_smooth + err_noise
+def _sweep_point(args, value):
+    """The simulate, smooth and calibrate stages at the flags with one option replaced."""
+    point = argparse.Namespace(**{**vars(args), _dest("--" + args.parameter): value})
+    grid = uniform_grid(point.grid_points)
+    basis = _basis(point, grid)
+    mu_hat, calib = _smooth_and_calibrate(point, _simulate(point, basis), basis)
+    err_smooth = float(grid.norm_sq(mu_hat.values - default_mean(point.mean, grid).values))
+    return err_smooth, noise_energy(basis, calib.sigma_sq)
 
 
 def cmd_sweep(args) -> None:
-    values = _sweep_values(args.sweep, args.values)
+    values = _sweep_values(args.parameter, args.values)
     if not values:
         raise ValueError("sweep needs at least one value")
     rows = []
     for value in values:
-        err_smooth, err_noise, err_total = _sweep_point(args.sweep, value, args)
-        rows.append((args.sweep, value, "smooth_vs_truth", err_smooth))
-        rows.append((args.sweep, value, "release_vs_smooth", err_noise))
-        rows.append((args.sweep, value, "release_vs_truth", err_total))
+        err_smooth, err_noise = _sweep_point(args, value)
+        rows.append((args.parameter, value, "smooth_vs_truth", err_smooth))
+        rows.append((args.parameter, value, "release_vs_smooth", err_noise))
+        rows.append((args.parameter, value, "release_vs_truth", err_smooth + err_noise))
     write_long_csv(args.output, ["parameter", "value", "metric", "estimate"], rows)
-    write_meta(meta_path(args.output), {
-        "command": "sweep",
-        "parameter": args.sweep,
-        "values": args.values,
-        "kernel_family": args.kernel,
-        "rho": args.rho,
-        "phi": args.phi,
-        "eta": args.eta,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "n": args.n,
-        "p": args.p,
-        "mean": args.mean,
-        "grid_points": args.grid_points,
-        "score_halfwidth": args.score_halfwidth,
-        "method": args.method,
-        "tol": DEFAULT_TRUNCATION_TOL,
-        "seed": args.seed,
-    })
-    print(f"wrote sweep over {args.sweep} ({len(values)} values) to {args.output}")
+    _write_sidecar(meta_path(args.output), args, tol=DEFAULT_TRUNCATION_TOL)
+    print(f"wrote sweep over {args.parameter} ({len(values)} values) to {args.output}")
 
 
 #: Each subcommand: its handler, its help line and the options it reads.
@@ -331,7 +274,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "simulate curves by Karhunen-Loeve expansion",
                  "--kernel --rho --n --p --grid-points --mean --score-halfwidth --seed --output"),
     "smooth": (cmd_smooth, "penalized mean estimate of a curve sample",
-               "--input --tau --kernel --rho --phi --eta --output"),
+               "--input --kernel --rho --phi --eta --output"),
     "release": (cmd_release, "sanitized full-function release",
                 "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
                 " --seed --output"),

@@ -32,6 +32,8 @@ def _format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(value)
+    if isinstance(value, (list, tuple)):
+        return ",".join(_format_cell(v) for v in value)
     return str(value)
 
 
@@ -83,7 +85,7 @@ def meta_path(output_path) -> str:
 
 
 def write_meta(path, entries: Mapping) -> None:
-    """Write a flat key=value file, one pair per line, keys sorted."""
+    """Write a flat key=value file, one pair per line, keys sorted; lists comma separated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(str(k) for k in entries):
             fh.write(f"{key}={_format_cell(entries[key])}\n")

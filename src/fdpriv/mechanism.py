@@ -39,15 +39,13 @@ _AUDIT_BLOCK_VALUES = 1 << 17
 class ReleaseMeta(CalibrationResult):
     """Provenance carried by every sanitized release: its calibration, kernel and seed.
 
-    release_function leaves timestamp empty, so identical configurations
-    produce byte-identical output files; the field keeps the key in every
-    release sidecar.
+    It holds nothing that varies between runs, so identical configurations
+    produce byte-identical sidecars.
     """
 
     kernel_family: str
     rho: float
     seed: int
-    timestamp: str = ""
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,8 +12,10 @@ import pytest
 from fdpriv import (
     KernelSpec,
     PrivacyBudget,
+    ReleaseMeta,
     SampleSet,
     SelectionGrid,
+    default_mean,
     kernel_basis,
     pcv_select,
     reconstruct,
@@ -67,7 +70,6 @@ def test_release_pipeline_and_meta_arithmetic(tmp_path):
     delta_sq = float(meta["delta_sq"])
     assert sigma_sq == pytest.approx(2.0 * math.log(20.0) * delta_sq, rel=1e-12)
     assert meta["method"] == "exact_spectral"
-    assert meta["timestamp"] == ""
     grid, values = read_curves_csv(out)
     assert values.shape == (1, 60)
 
@@ -114,7 +116,7 @@ def test_unknown_flag_is_config_error(tmp_path):
 #: The options each subcommand accepts: exactly the ones its handler reads.
 SUBCOMMAND_OPTIONS = {
     "simulate": "--kernel --rho --n --p --grid-points --mean --score-halfwidth --seed --output",
-    "smooth": "--input --tau --kernel --rho --phi --eta --output",
+    "smooth": "--input --kernel --rho --phi --eta --output",
     "release": "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
                " --seed --output",
     "projections": "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
@@ -137,7 +139,7 @@ def test_each_subcommand_accepts_exactly_the_options_it_reads():
         for name, p in sub.choices.items()
     }
     assert accepted == {name: set(opts.split()) for name, opts in SUBCOMMAND_OPTIONS.items()}
-    assert sum(len(opts) for opts in accepted.values()) == 85
+    assert sum(len(opts) for opts in accepted.values()) == 84
 
 
 @pytest.mark.parametrize(
@@ -150,14 +152,16 @@ def test_each_subcommand_accepts_exactly_the_options_it_reads():
           "--folds", "3"], ["--rho", "0.5"]),
         (["release", "--input", "{sample}"], ["--tol", "1e-10"]),
         (["smooth", "--input", "{sample}"], ["--seed", "1"]),
+        # the smoother does not depend on tau, so it takes none
+        (["smooth", "--input", "{sample}"], ["--tau", "3"]),
         (["audit", "--theta-d", "{theta}", "--theta-dp", "{theta2}", "--rho", "0.05",
           "--samples", "10000"], ["--swap"]),
         (["release", "--input", "{sample}"], ["--eps", "0.5"]),  # no prefix aliases
         (["pcv", "--input", "{sample}", "--phi-grid", "0.01", "--rho-grid", "0.02",
           "--folds", "3"], ["--rho-g", "0.5"]),
     ],
-    ids=["cv-rho", "cv-tau", "pcv-rho", "release-tol", "smooth-seed", "audit-swap",
-         "release-eps", "pcv-rho-g"],
+    ids=["cv-rho", "cv-tau", "pcv-rho", "release-tol", "smooth-seed", "smooth-tau",
+         "audit-swap", "release-eps", "pcv-rho-g"],
 )
 def test_options_no_handler_reads_are_refused(tmp_path, capsys, argv, extra):
     grid = uniform_grid(30)
@@ -366,7 +370,8 @@ def test_empty_or_bad_numeric_lists_are_config_errors(tmp_path, capsys, argv):
     assert "stack" not in err and "argmin" not in err
 
 
-def test_every_subcommand_reruns_byte_identically(tmp_path):
+def _small_runs(tmp_path) -> dict[str, list[str]]:
+    """One small call of each subcommand, without ``--output``, on files it writes."""
     grid = uniform_grid(25)
     rng = np.random.default_rng(11)
     sample = tmp_path / "data.csv"
@@ -378,7 +383,7 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
     write_curves_csv(tpath, grid, theta.values)
     write_curves_csv(tpath2, grid, -theta.values)
 
-    cases = {
+    return {
         "simulate": ["simulate", "--n", "4", "--grid-points", "25", "--seed", "1"],
         "smooth": ["smooth", "--input", str(sample), "--rho", "0.05"],
         "release": ["release", "--input", str(sample), "--rho", "0.05", "--seed", "2"],
@@ -393,7 +398,10 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
         "sweep": ["sweep", "--sweep", "phi", "--values", "0.01,0.1", "--n", "4",
                   "--grid-points", "25", "--seed", "5"],
     }
-    for name, argv in cases.items():
+
+
+def test_every_subcommand_reruns_byte_identically(tmp_path):
+    for name, argv in _small_runs(tmp_path).items():
         first = tmp_path / f"{name}_1.out"
         second = tmp_path / f"{name}_2.out"
         assert run(*argv, "--output", str(first)) == 0, name
@@ -403,6 +411,58 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
         if os.path.exists(meta1):
             with open(meta1, "rb") as f1, open(meta2, "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+
+#: Sidecar keys of the options whose argparse dest is not their own name.
+RENAMED_DESTS = {"--kernel": "kernel_family", "--samples": "n_samples", "--sweep": "parameter",
+                 "--phi-grid": "phi_values", "--rho-grid": "rho_values"}
+FILE_OPTIONS = {"--input", "--theta-d", "--theta-dp", "--output"}
+#: What each command with a composed sidecar records besides its options.
+SIDECAR_OUTPUTS = {
+    "simulate": {"modes", "tau", "tol"},
+    "smooth": {"n", "tau", "modes", "tol"},
+    "audit": {"sigma_sq", "empirical_violation_rate", "mc_stderr", "pass", "undercalibrated"},
+    "cv": {"n", "rho_values", "scores", "selected_rho", "selected_score"},
+    "pcv": {"n", "tau", "phi_values", "rho_values", "selected_phi", "selected_rho"},
+    "sweep": {"tol"},
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_OPTIONS))
+def test_sidecar_keys_are_the_options_read_and_the_outputs(tmp_path, name):
+    out = tmp_path / f"{name}.out"
+    assert run(*_small_runs(tmp_path)[name], "--output", str(out)) == 0
+    sidecar = out if name in ("audit", "cv", "pcv") else Path(f"{out}.meta")
+    if name in ("release", "projections"):
+        expected = {field.name for field in dataclasses.fields(ReleaseMeta)}
+    else:
+        options = set(SUBCOMMAND_OPTIONS[name].split()) - FILE_OPTIONS
+        dests = {RENAMED_DESTS.get(o, o[2:].replace("-", "_")) for o in options}
+        expected = {"command"} | dests | SIDECAR_OUTPUTS[name]
+    assert set(read_meta(sidecar)) == expected
+
+
+def test_sweep_reruns_the_simulate_smooth_and_release_stages(tmp_path):
+    flags = ["--n", "8", "--grid-points", "40", "--seed", "2"]
+    sweep = tmp_path / "sweep.csv"
+    assert run("sweep", "--sweep", "phi", "--values", "0.01,0.3", *flags,
+               "--output", str(sweep)) == 0
+    rows = [line.split(",") for line in sweep.read_text(encoding="utf-8").splitlines()[1:]]
+    estimates = {(value, metric): float(est) for _, value, metric, est in rows}
+    sample = tmp_path / "sample.csv"
+    assert run("simulate", *flags, "--output", str(sample)) == 0
+    for phi in ("0.01", "0.3"):
+        smoothed, released = tmp_path / f"s{phi}.csv", tmp_path / f"r{phi}.csv"
+        assert run("smooth", "--input", str(sample), "--phi", phi, "--output", str(smoothed)) == 0
+        assert run("release", "--input", str(sample), "--phi", phi,
+                   "--output", str(released)) == 0
+        grid, mu_hat = read_curves_csv(smoothed)
+        basis = kernel_basis(KernelSpec("gaussian", 0.001), grid)
+        smooth_err = float(grid.norm_sq(mu_hat[0] - default_mean("sin_default", grid).values))
+        noise = float(read_meta(f"{released}.meta")["sigma_sq"]) * float(np.sum(basis.eigenvalues))
+        assert estimates[(phi, "smooth_vs_truth")] == smooth_err
+        assert estimates[(phi, "release_vs_smooth")] == noise
+        assert estimates[(phi, "release_vs_truth")] == smooth_err + noise
 
 
 def _import_fdpriv_loads(module: str) -> bool:

@@ -68,8 +68,10 @@ def test_read_curves_csv_nonuniform_gets_trapezoid_weights(tmp_path):
 
 def test_meta_round_trip_and_key_order(tmp_path):
     path = tmp_path / "run.meta"
-    write_meta(path, {"zeta": 1.5, "alpha": "text", "mid": 7, "flag": True})
+    write_meta(path, {"zeta": 1.5, "alpha": "text", "mid": 7, "flag": True,
+                      "grid": (0.5, 1.0), "scores": [0.1, np.float64(2.0)]})
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == ["alpha=text", "flag=true", "mid=7", "zeta=1.5"]
+    assert lines == ["alpha=text", "flag=true", "grid=0.5,1.0", "mid=7", "scores=0.1,2.0",
+                     "zeta=1.5"]
     parsed = read_meta(path)
     assert parsed["zeta"] == "1.5" and parsed["flag"] == "true"

@@ -252,10 +252,10 @@ def test_release_meta_is_its_calibration_plus_kernel_and_seed():
     record = meta.as_dict()
     assert sorted(record) == sorted([
         "delta_sq", "sigma_sq", "method", "phi", "eta", "tau", "n", "epsilon", "delta",
-        "kernel_family", "rho", "seed", "timestamp",
+        "kernel_family", "rho", "seed",
     ])
     assert {key: record[key] for key in asdict(calib)} == asdict(calib)
-    assert (record["kernel_family"], record["seed"], record["timestamp"]) == ("custom", 3, "")
+    assert (record["kernel_family"], record["seed"]) == ("custom", 3)
     assert math.isnan(record["rho"])
 
 
