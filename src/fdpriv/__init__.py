@@ -28,7 +28,6 @@ from .kernels import (
     KernelSpec,
     gram_matrix,
     grid_from_points,
-    kernel_eval,
     uniform_grid,
 )
 from .mechanism import (
@@ -107,7 +106,6 @@ __all__ = [
     "gs_closed_bound",
     "gs_exact_bound",
     "kernel_basis",
-    "kernel_eval",
     "kl_simulate",
     "make_rng",
     "noise_energy",

@@ -7,10 +7,11 @@ modes above ``DEFAULT_TRUNCATION_TOL`` of the leading eigenvalue.  Exit codes:
 0 success, 2 configuration or parse error, 3 privacy refusal (epsilon > 1 or
 an incompatible summary), 4 numerical failure.  Every output is a CSV or
 key=value file that reruns byte-identically from the same flags and seed.
-``release`` and ``projections`` write the release's ``ReleaseMeta`` as their
-sidecar; every other command's sidecar (``_write_sidecar``) holds
-``command``, each option the command read under its argparse dest except the
-file paths, then the command's outputs.
+Every sidecar comes from ``_write_sidecar``: ``command``, the basis ``tol``,
+each option the command read under its argparse dest except the file paths,
+then the command's outputs (for ``release`` and ``projections`` the
+``ReleaseMeta`` fields), which win on a clash.  ``--phi-grid`` and
+``--rho-grid`` are sorted and refused with a repeated value while parsing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}: {exc}")
     if not values:
         raise argparse.ArgumentTypeError(f"numeric list {text!r} has no values")
+    return values
+
+
+def _candidate_list(text: str) -> list[float]:
+    values = sorted(_float_list(text))
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"candidate list {text!r} repeats a value")
     return values
 
 
@@ -88,9 +96,9 @@ _OPTIONS = {
                        help="noise variance to audit (default: calibrated for the pair)"),
     "--samples": dict(type=int, default=100_000, dest="n_samples",
                       help="Monte-Carlo sample count (default 100000)"),
-    "--phi-grid": dict(type=_float_list, required=True, dest="phi_values",
+    "--phi-grid": dict(type=_candidate_list, required=True, dest="phi_values",
                        help="comma-separated candidate penalties"),
-    "--rho-grid": dict(type=_float_list, required=True, dest="rho_values",
+    "--rho-grid": dict(type=_candidate_list, required=True, dest="rho_values",
                        help="comma-separated candidate range parameters"),
     "--folds": dict(type=int, default=10, help="CV folds (default 10)"),
     "--calibrate-on-full-n": dict(action="store_true",
@@ -109,9 +117,10 @@ def _dest(option: str) -> str:
 
 
 def _write_sidecar(path, args, **outputs) -> None:
-    """Write ``command``, each non-file option the command read, then its outputs."""
+    """Write ``command``, the basis ``tol``, each non-file option read, then the outputs."""
     dests = [_dest(o) for o in _COMMANDS[args.command][2].split() if o not in _FILE_OPTIONS]
-    write_meta(path, {"command": args.command, **{d: getattr(args, d) for d in dests}, **outputs})
+    write_meta(path, {"command": args.command, "tol": DEFAULT_TRUNCATION_TOL,
+                      **{d: getattr(args, d) for d in dests}, **outputs})
 
 
 def _load_sample(path, tau=None) -> SampleSet:
@@ -139,8 +148,7 @@ def cmd_simulate(args) -> None:
     basis = _basis(args, grid)
     data = _simulate(args, basis)
     write_curves_csv(args.output, grid, data.values)
-    _write_sidecar(meta_path(args.output), args, modes=basis.m, tau=data.tau,
-                   tol=DEFAULT_TRUNCATION_TOL)
+    _write_sidecar(meta_path(args.output), args, modes=basis.m, tau=data.tau)
     print(f"wrote {args.n} curves to {args.output}")
 
 
@@ -149,8 +157,7 @@ def cmd_smooth(args) -> None:
     basis = _basis(args, data.grid)
     mu_hat = penalized_mean(data, basis, SmootherConfig(args.phi, args.eta))
     write_curves_csv(args.output, data.grid, mu_hat.values)
-    _write_sidecar(meta_path(args.output), args, n=data.n, tau=data.tau, modes=basis.m,
-                   tol=DEFAULT_TRUNCATION_TOL)
+    _write_sidecar(meta_path(args.output), args, n=data.n, tau=data.tau, modes=basis.m)
     print(f"wrote smoothed mean to {args.output}")
 
 
@@ -164,7 +171,7 @@ def cmd_release(args) -> None:
     data, basis, mu_hat, calib = _release_pipeline(args)
     release = release_function(mu_hat, basis, calib, args.seed)
     write_curves_csv(args.output, data.grid, release.curve.values)
-    write_meta(meta_path(args.output), release.meta.as_dict())
+    _write_sidecar(meta_path(args.output), args, **release.meta.as_dict())
     print(f"wrote sanitized release to {args.output} "
           f"(delta_sq={format_float(calib.delta_sq)}, sigma_sq={format_float(calib.sigma_sq)})")
 
@@ -182,7 +189,7 @@ def cmd_projections(args) -> None:
     rows = [_grid_row(data.grid, t) for t in args.at]
     release = release_function(mu_hat, basis, calib, args.seed)
     write_long_csv(args.output, [format_float(t) for t in args.at], [release.curve.values[rows]])
-    write_meta(meta_path(args.output), release.meta.as_dict())
+    _write_sidecar(meta_path(args.output), args, **release.meta.as_dict())
     print(f"wrote {len(rows)} sanitized point evaluations to {args.output}")
 
 
@@ -212,24 +219,23 @@ def cmd_audit(args) -> None:
 
 def cmd_cv(args) -> None:
     data = _load_sample(args.input)
-    rho_values = sorted(args.rho_values)
-    scores, best = _cv_rho_scan(data, args.kernel_family, args.phi, rho_values, args.eta,
+    scores, best = _cv_rho_scan(data, args.kernel_family, args.phi, args.rho_values, args.eta,
                                 args.folds, args.seed, DEFAULT_TRUNCATION_TOL)
-    _write_sidecar(args.output, args, n=data.n, rho_values=rho_values, scores=scores,
-                   selected_rho=rho_values[best], selected_score=scores[best])
-    print(f"cv selected rho={format_float(rho_values[best])}")
+    selected_rho = args.rho_values[best]
+    _write_sidecar(args.output, args, n=data.n, scores=scores, selected_rho=selected_rho,
+                   selected_score=scores[best])
+    print(f"cv selected rho={format_float(selected_rho)}")
 
 
 def cmd_pcv(args) -> None:
     data = _load_sample(args.input, args.tau)
-    grid = SelectionGrid(tuple(sorted(args.phi_values)), tuple(sorted(args.rho_values)),
-                         args.folds)
+    grid = SelectionGrid(args.phi_values, args.rho_values, args.folds)
     budget = PrivacyBudget(args.epsilon, args.delta)
     phi_star, rho_star = pcv_select(
         data, args.kernel_family, grid, args.eta, budget, args.seed, args.calibrate_on_full_n,
     )
-    _write_sidecar(args.output, args, n=data.n, tau=data.tau, phi_values=grid.phi_values,
-                   rho_values=grid.rho_values, selected_phi=phi_star, selected_rho=rho_star)
+    _write_sidecar(args.output, args, n=data.n, tau=data.tau, selected_phi=phi_star,
+                   selected_rho=rho_star)
     print(f"pcv selected phi={format_float(phi_star)} rho={format_float(rho_star)}")
 
 
@@ -265,7 +271,7 @@ def cmd_sweep(args) -> None:
         rows.append((args.parameter, value, "release_vs_smooth", err_noise))
         rows.append((args.parameter, value, "release_vs_truth", err_smooth + err_noise))
     write_long_csv(args.output, ["parameter", "value", "metric", "estimate"], rows)
-    _write_sidecar(meta_path(args.output), args, tol=DEFAULT_TRUNCATION_TOL)
+    _write_sidecar(meta_path(args.output), args)
     print(f"wrote sweep over {args.parameter} ({len(values)} values) to {args.output}")
 
 

@@ -63,10 +63,10 @@ class Grid:
 
 
 def uniform_grid(m: int) -> Grid:
-    """Equispaced m-point grid on [0, 1] with uniform weights 1/m."""
+    """Equispaced m-point grid on [0, 1]; ``grid_from_points`` gives it weights 1/m."""
     if m < 2:
         raise ValueError("uniform grid needs at least two points")
-    return Grid(np.linspace(0.0, 1.0, m), np.full(m, 1.0 / m))
+    return grid_from_points(np.linspace(0.0, 1.0, m))
 
 
 def grid_from_points(points) -> Grid:
@@ -137,44 +137,25 @@ class KernelSpec:
         object.__setattr__(self, "rho", rho)
 
 
-def _eval_distance(family: str, d, rho: float):
-    """Kernel value as a function of |t - s|; works elementwise on arrays."""
-    if family == "gaussian":
-        return np.exp(-(d**2) / rho)
-    if family == "matern52":
-        r = d / rho
-        return (1.0 + _SQRT5 * r + 5.0 * d**2 / (3.0 * rho**2)) * np.exp(-_SQRT5 * r)
-    if family == "matern32":
-        r = d / rho
-        return (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
-    if family == "exponential":
-        return np.exp(-d / rho)
-    raise ValueError(f"unknown kernel family {family!r}")
-
-
-def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
-    """Evaluate the covariance kernel C(t, s).
-
-    All four families are stationary in d = |t - s| and normalized so that
-    the value lies in (0, 1], reaching 1 exactly when t == s.
-    """
-    t = float(t)
-    s = float(s)
-    if not (math.isfinite(t) and math.isfinite(s)):
-        raise ValueError("kernel arguments must be finite")
-    if t == s:
-        return 1.0
-    return float(_eval_distance(spec.family, abs(t - s), spec.rho))
-
-
 def gram_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """Kernel matrix G[i, j] = C(t_i, t_j) over the grid points.
 
-    Exactly symmetric (|t-s| is), unit diagonal, and positive semi-definite
-    up to round-off for every family.
+    All four families are stationary in d = |t - s| and normalized to lie in
+    (0, 1], so G is exactly symmetric, has unit diagonal, and is positive
+    semi-definite up to round-off.
     """
     t = grid.points
     d = np.abs(t[:, None] - t[None, :])
-    gram = _eval_distance(spec.family, d, spec.rho)
+    rho = spec.rho
+    if spec.family == "gaussian":
+        gram = np.exp(-(d**2) / rho)
+    elif spec.family == "matern52":
+        r = d / rho
+        gram = (1.0 + _SQRT5 * r + 5.0 * d**2 / (3.0 * rho**2)) * np.exp(-_SQRT5 * r)
+    elif spec.family == "matern32":
+        r = d / rho
+        gram = (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
+    else:  # "exponential", the one family left in KERNEL_FAMILIES
+        gram = np.exp(-d / rho)
     np.fill_diagonal(gram, 1.0)
     return gram

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibration import CalibrationResult, PrivacyBudget, PrivacyRefusalError, noise_scale
 from .kernels import Curve
-from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check
+from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check, reconstruct
 from .rng import make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
@@ -129,7 +129,7 @@ def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     """One draw of the scaled Gaussian process, deterministic in the seed."""
     _check_sigma_sq(sigma_sq, zero_ok=True)
     coeffs = _noise_coefficients(basis, sigma_sq, make_rng(seed), np.empty(basis.m))
-    return Curve(basis.matrix @ coeffs, basis.grid)
+    return reconstruct(coeffs, basis)
 
 
 def noise_energy(basis: SpectralBasis, sigma_sq: float) -> float:

@@ -203,7 +203,11 @@ def test_projections_equal_release_at_the_points(tmp_path):
     at = ",".join(repr(float(t)) for t in grid.points[idx])
     assert run("projections", *common, "--at", at, "--output", str(proj_out)) == 0
     assert float(read_meta(str(release_out) + ".meta")["sigma_sq"]) > 0.0
-    assert read_meta(str(proj_out) + ".meta") == read_meta(str(release_out) + ".meta")
+    proj_meta = read_meta(str(proj_out) + ".meta")
+    release_meta = read_meta(str(release_out) + ".meta")
+    assert (proj_meta.pop("command"), proj_meta.pop("at")) == ("projections", at)
+    assert release_meta.pop("command") == "release"
+    assert proj_meta == release_meta
     lines = proj_out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert [float(v) for v in lines[0].split(",")] == list(grid.points[idx])
@@ -417,15 +421,24 @@ def test_every_subcommand_reruns_byte_identically(tmp_path):
 RENAMED_DESTS = {"--kernel": "kernel_family", "--samples": "n_samples", "--sweep": "parameter",
                  "--phi-grid": "phi_values", "--rho-grid": "rho_values"}
 FILE_OPTIONS = {"--input", "--theta-d", "--theta-dp", "--output"}
-#: What each command with a composed sidecar records besides its options.
+RELEASE_META = {field.name for field in dataclasses.fields(ReleaseMeta)}
+#: What each command's sidecar records besides ``command``, ``tol`` and its options.
 SIDECAR_OUTPUTS = {
-    "simulate": {"modes", "tau", "tol"},
-    "smooth": {"n", "tau", "modes", "tol"},
+    "simulate": {"modes", "tau"},
+    "smooth": {"n", "tau", "modes"},
+    "release": RELEASE_META,
+    "projections": RELEASE_META,
     "audit": {"sigma_sq", "empirical_violation_rate", "mc_stderr", "pass", "undercalibrated"},
-    "cv": {"n", "rho_values", "scores", "selected_rho", "selected_score"},
-    "pcv": {"n", "tau", "phi_values", "rho_values", "selected_phi", "selected_rho"},
-    "sweep": {"tol"},
+    "cv": {"n", "scores", "selected_rho", "selected_score"},
+    "pcv": {"n", "tau", "selected_phi", "selected_rho"},
+    "sweep": set(),
 }
+
+
+def _option_dests(name: str) -> dict[str, str]:
+    """The argparse dest of each non-file option of a subcommand, mapped to the option."""
+    options = set(SUBCOMMAND_OPTIONS[name].split()) - FILE_OPTIONS
+    return {RENAMED_DESTS.get(o, o[2:].replace("-", "_")): o for o in options}
 
 
 @pytest.mark.parametrize("name", list(SUBCOMMAND_OPTIONS))
@@ -433,13 +446,66 @@ def test_sidecar_keys_are_the_options_read_and_the_outputs(tmp_path, name):
     out = tmp_path / f"{name}.out"
     assert run(*_small_runs(tmp_path)[name], "--output", str(out)) == 0
     sidecar = out if name in ("audit", "cv", "pcv") else Path(f"{out}.meta")
-    if name in ("release", "projections"):
-        expected = {field.name for field in dataclasses.fields(ReleaseMeta)}
-    else:
-        options = set(SUBCOMMAND_OPTIONS[name].split()) - FILE_OPTIONS
-        dests = {RENAMED_DESTS.get(o, o[2:].replace("-", "_")) for o in options}
-        expected = {"command"} | dests | SIDECAR_OUTPUTS[name]
+    expected = {"command", "tol"} | set(_option_dests(name)) | SIDECAR_OUTPUTS[name]
     assert set(read_meta(sidecar)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["release"],  # tau derived from the data, then replayed as --tau
+        ["release", "--method", "closed_form", "--eta", "1.5"],
+        ["projections", "--at", "0.0,1.0"],
+    ],
+    ids=["release-default", "release-closed-form", "projections"],
+)
+def test_release_replays_from_its_sidecar(tmp_path, argv):
+    sample = tmp_path / "sample.csv"
+    assert run("simulate", "--n", "12", "--grid-points", "30", "--seed", "4",
+               "--output", str(sample)) == 0
+    first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+    assert run(*argv, "--input", str(sample), "--rho", "0.01", "--seed", "9",
+               "--output", str(first)) == 0
+    meta = read_meta(f"{first}.meta")
+    flags = [arg for dest, option in _option_dests(meta["command"]).items()
+             for arg in (option, meta[dest])]
+    assert run(meta["command"], *flags, "--input", str(sample), "--output", str(replay)) == 0
+    assert replay.read_bytes() == first.read_bytes()
+    assert Path(f"{replay}.meta").read_bytes() == Path(f"{first}.meta").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["cv", "--rho-grid", "0.001,0.01,0.001"], "--rho-grid"),
+        (["pcv", "--phi-grid", "0.1,0.01,0.1", "--rho-grid", "0.001"], "--phi-grid"),
+    ],
+    ids=["cv", "pcv"],
+)
+def test_repeated_candidate_is_refused_while_parsing(tmp_path, capsys, argv, option):
+    # the input file does not exist: the list is refused before it is read
+    assert run(*argv, "--input", str(tmp_path / "absent.csv"),
+               "--output", str(tmp_path / "out.txt")) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: candidate list '{argv[argv.index(option) + 1]}'" in err
+    assert "repeats a value" in err
+
+
+def test_candidate_grids_are_sorted_while_parsing(tmp_path):
+    sample = tmp_path / "sample.csv"
+    assert run("simulate", "--n", "12", "--grid-points", "30", "--seed", "4",
+               "--output", str(sample)) == 0
+    reports = {}
+    for order, phi, rho in (("sorted", "0.01,0.1", "0.01,0.02,0.05"),
+                            ("reversed", "0.1,0.01", "0.05,0.02,0.01")):
+        for name, argv in (("cv", ["--rho-grid", rho]),
+                           ("pcv", ["--phi-grid", phi, "--rho-grid", rho])):
+            out = tmp_path / f"{name}-{order}.txt"
+            assert run(name, "--input", str(sample), *argv, "--folds", "3",
+                       "--output", str(out)) == 0
+            reports[name, order] = out.read_bytes()
+    for name in ("cv", "pcv"):
+        assert reports[name, "reversed"] == reports[name, "sorted"]
 
 
 def test_sweep_reruns_the_simulate_smooth_and_release_stages(tmp_path):

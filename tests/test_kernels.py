@@ -10,7 +10,6 @@ from fdpriv import (
     KernelSpec,
     gram_matrix,
     grid_from_points,
-    kernel_eval,
     uniform_grid,
 )
 
@@ -97,48 +96,44 @@ def test_kernel_spec_validation():
     assert KernelSpec("Gaussian", 1.0).family == "gaussian"
 
 
-def test_kernel_eval_same_point_is_one():
-    assert kernel_eval(KernelSpec("gaussian", 0.001), 0.3, 0.3) == 1.0
+def _entry(spec: KernelSpec, t: float, s: float) -> float:
+    """C(t, s) read off the Gram matrix of the two-point grid {t, s}."""
+    return gram_matrix(spec, grid_from_points([t, s]))[0, 1]
 
 
-def test_kernel_eval_exponential_closed_form():
-    got = kernel_eval(KernelSpec("exponential", 1.0), 0.0, 1.0)
+def test_gram_matrix_exponential_closed_form():
+    got = _entry(KernelSpec("exponential", 0.5), 0.2, 0.7)
     assert got == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
-def test_kernel_eval_matern32_closed_form():
-    got = kernel_eval(KernelSpec("matern32", 0.5), 0.0, 0.5)
+def test_gram_matrix_matern32_closed_form():
+    got = _entry(KernelSpec("matern32", 0.5), 0.0, 0.5)
     expected = (1.0 + math.sqrt(3.0)) * math.exp(-math.sqrt(3.0))
     assert got == pytest.approx(expected, rel=1e-15)
     assert expected == pytest.approx(0.4833577, abs=1e-6)
 
 
-def test_kernel_eval_matern52_closed_form():
+def test_gram_matrix_matern52_closed_form():
     d, rho = 0.3, 0.7
     expected = (
         1.0 + math.sqrt(5.0) * d / rho + 5.0 * d**2 / (3.0 * rho**2)
     ) * math.exp(-math.sqrt(5.0) * d / rho)
-    assert kernel_eval(KernelSpec("matern52", rho), 0.1, 0.4) == pytest.approx(
-        expected, rel=1e-15
-    )
+    assert _entry(KernelSpec("matern52", rho), 0.1, 0.4) == pytest.approx(expected, rel=1e-15)
 
 
-def test_kernel_eval_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        kernel_eval(KernelSpec("gaussian", 1.0), float("nan"), 0.5)
+def test_grid_rejects_nonfinite_points():
+    with pytest.raises(ValueError, match="finite"):
+        grid_from_points([0.0, float("nan")])
 
 
 def test_kernel_symmetry_and_range():
     rng = np.random.default_rng(123)
     for family in KERNEL_FAMILIES:
         spec = KernelSpec(family, float(10 ** rng.uniform(-3, 0.3)))
-        for _ in range(200):
-            t, s = rng.uniform(0, 1, size=2)
-            a = kernel_eval(spec, t, s)
-            assert a == kernel_eval(spec, s, t)
-            assert 0.0 < a <= 1.0
-            if t != s:
-                assert a < 1.0
+        gram = gram_matrix(spec, grid_from_points(np.sort(rng.uniform(0, 1, 50))))
+        assert np.array_equal(gram, gram.T)
+        off_diagonal = gram[~np.eye(50, dtype=bool)]
+        assert np.all((0.0 < off_diagonal) & (off_diagonal < 1.0))
 
 
 def test_gram_matrix_two_point_exponential():
@@ -156,15 +151,6 @@ def test_gram_matrix_exactly_symmetric_unit_diagonal():
         gram = gram_matrix(KernelSpec(family, 0.2), grid)
         assert np.array_equal(gram, gram.T)
         assert np.all(np.diag(gram) == 1.0)
-
-
-def test_gram_matrix_entries_match_kernel_eval():
-    grid = grid_from_points(np.array([0.0, 0.25, 0.8, 1.0]))
-    spec = KernelSpec("matern52", 0.4)
-    gram = gram_matrix(spec, grid)
-    for i, t in enumerate(grid.points):
-        for j, s in enumerate(grid.points):
-            assert gram[i, j] == pytest.approx(kernel_eval(spec, t, s), rel=1e-15)
 
 
 def test_gram_matrix_positive_semidefinite_up_to_roundoff():
