@@ -61,7 +61,7 @@ def read_curves_csv(path) -> tuple[Grid, np.ndarray]:
             if not line:
                 continue
             try:
-                parsed = [float(cell) for cell in line.split(",")]
+                parsed = list(map(float, line.split(",")))
             except ValueError as exc:
                 raise CsvFormatError(f"{path}: line {lineno}: {exc}") from exc
             if rows and len(parsed) != len(rows[0]):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdpriv import (
+    KERNEL_FAMILIES,
     Curve,
     DegenerateKernelError,
     KernelSpec,
@@ -71,14 +72,25 @@ def test_decompose_default_setup_mode_count(default_basis):
     assert 30 <= default_basis.m <= 100
 
 
+def symmetric_irregular_grid():
+    """Irregular points mirrored about 1/2, so they get symmetric trapezoid weights."""
+    half = np.array([0.0, 0.07, 0.2, 0.26, 0.41])
+    return grid_from_points(np.concatenate([half, [0.5], 1.0 - half[::-1]]))
+
+
 def test_decompose_matches_jacobi_oracle():
     rng = np.random.default_rng(5)
+    grids = []
     for trial in range(10):
         m = int(rng.integers(3, 11))
         pts = np.sort(rng.uniform(0, 1, m))
         while np.any(np.diff(pts) <= 0):
             pts = np.sort(rng.uniform(0, 1, m))
-        grid = grid_from_points(pts)
+        grids.append(grid_from_points(pts))
+    # symmetric grids take the split route of decompose
+    grids += [uniform_grid(m) for m in range(3, 11)]
+    grids.append(symmetric_irregular_grid())
+    for grid in grids:
         gram = gram_matrix(KernelSpec("matern32", 0.3), grid)
         basis = decompose(gram, grid, tol=1e-12)
         sqrt_w = np.sqrt(grid.weights)
@@ -86,6 +98,69 @@ def test_decompose_matches_jacobi_oracle():
         assert np.allclose(
             basis.eigenvalues, oracle[: basis.m], rtol=1e-8, atol=1e-14
         )
+
+
+def record_eigh_shapes(monkeypatch) -> list:
+    """Wrap np.linalg.eigh so that the shapes of the matrices it solves are recorded."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return shapes
+
+
+def moved_point_grid():
+    """The uniform 100-point grid with one interior point moved by 1e-9."""
+    points = np.linspace(0.0, 1.0, 100)
+    points[33] += 1e-9
+    return grid_from_points(points)
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        (uniform_grid(100), [(50, 50), (50, 50)]),
+        (uniform_grid(101), [(51, 51), (50, 50)]),
+        (symmetric_irregular_grid(), [(6, 6), (5, 5)]),
+        (moved_point_grid(), [(100, 100)]),
+    ],
+    ids=["uniform-100", "uniform-101", "symmetric-irregular", "moved-point"],
+)
+def test_decompose_splits_only_centrosymmetric_matrices(monkeypatch, grid, expected):
+    gram = gram_matrix(KernelSpec("gaussian", 0.001), grid)
+    shapes = record_eigh_shapes(monkeypatch)
+    decompose(gram, grid)
+    assert shapes == expected
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("m", [2, 3, 100, 101, 1000])
+def test_split_route_matches_one_full_eigh(monkeypatch, family, m):
+    grid = uniform_grid(m)
+    eps = np.finfo(float).eps
+    for rho in (0.001, 0.1):
+        gram = gram_matrix(KernelSpec(family, rho), grid)
+        shapes = record_eigh_shapes(monkeypatch)
+        basis = decompose(gram, grid)
+        assert max(shapes) == (m - m // 2, m - m // 2)
+        monkeypatch.undo()
+        sqrt_w = np.sqrt(grid.weights)
+        evals, evecs = np.linalg.eigh(sqrt_w[:, None] * gram * sqrt_w[None, :])
+        lam_max = evals[-1]
+        kept = np.nonzero(evals > 1e-12 * lam_max)[0][::-1]
+        assert basis.m == kept.size
+        assert np.abs(basis.eigenvalues - evals[kept]).max() <= 1e-13 * lam_max
+        # The kept span is fixed only up to round-off over the gap at the cut
+        # (Davis-Kahan): M * eps * lam_max / gap, which is large when the cut
+        # falls among eigenvalues of order tol * lam_max.
+        gap = evals[kept[-1]] - evals[kept[-1] - 1] if kept[-1] > 0 else math.inf
+        u = sqrt_w[:, None] * basis.matrix
+        projector_error = np.abs(u @ u.T - evecs[:, kept] @ evecs[:, kept].T).max()
+        assert projector_error <= 1e-10 + m * eps * lam_max / gap
 
 
 def test_decompose_reconstructs_gram_at_full_rank(default_basis):
