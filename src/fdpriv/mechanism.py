@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import CalibrationResult, PrivacyBudget, PrivacyRefusalError, noise_scale
 from .kernels import Curve
 from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check, reconstruct
-from .rng import make_rng
+from .rng import audit_streams, make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
 # Standard normals per audit chunk: chunk k of max(1, 2**21 // m) rows draws
@@ -197,13 +197,15 @@ def dp_audit(
     direction.
 
     The samples come in fixed-size chunks of about 2**21 standard normals;
-    chunk k draws from its own child stream ``make_rng(seed).spawn(n)[k]``
-    through the release's noise path, and the chunks run in parallel on the
-    usable cores.  Each chunk is drawn and scored in blocks of about 2**17
-    values through one reused buffer, so memory per worker does not depend
-    on n_samples.  The report depends only on (seed, n_samples, basis.m),
-    never on the core count or the block size.  Releases draw from
-    ``make_rng(seed)`` itself, not from these child streams.
+    chunk k draws from its own child stream ``audit_streams(seed, n)[k]``, an
+    SFC64 generator seeded by the k-th ``SeedSequence`` child of
+    ``make_rng(seed)``, through the release's noise path, and the chunks run
+    in parallel on the usable cores.  Each chunk is drawn and scored in
+    blocks of about 2**17 values through one reused buffer, so memory per
+    worker does not depend on n_samples.  The report depends only on
+    (seed, n_samples, basis.m), never on the core count or the block size.
+    Releases keep the Philox stream ``make_rng(seed)`` itself, not these
+    child streams.
     """
     if n_samples < _AUDIT_MIN_SAMPLES:
         raise ValueError(f"audit needs at least {_AUDIT_MIN_SAMPLES} samples")
@@ -220,7 +222,7 @@ def dp_audit(
     n_samples = int(n_samples)
     rows = max(1, _AUDIT_CHUNK_VALUES // basis.m)
     block_rows = max(1, _AUDIT_BLOCK_VALUES // basis.m)
-    streams = make_rng(seed).spawn(-(-n_samples // rows))
+    streams = audit_streams(seed, -(-n_samples // rows))
 
     def violations(k: int) -> int:
         chunk = min(rows, n_samples - k * rows)

@@ -27,7 +27,6 @@ from fdpriv import (
     shrinkage_factors,
 )
 from fdpriv.calibration import _validate_gs_args
-from fdpriv.rng import make_rng
 
 _MASK64 = (1 << 64) - 1
 
@@ -142,8 +141,10 @@ def audit_violations_serial(
 ) -> int:
     """Violation count of ``dp_audit``, replayed chunk by chunk on one thread.
 
-    Walks the audit's child streams ``make_rng(seed).spawn(n_chunks)`` with
-    chunks of max(1, 2**21 // m) rows (the last one short), draws releases
+    Builds the chunk streams itself rather than through ``rng.audit_streams``:
+    chunk k, of max(1, 2**21 // m) rows (the last one short), draws in one
+    call from an SFC64 generator on the k-th of n_chunks ``SeedSequence``
+    children of the seed's 64-bit entropy.  It draws releases
     x = cd + sigma * sqrt(lambda) * xi in coefficient space, and scores each
     by the Cameron-Martin form of the Gaussian log density ratio,
     (||x - cdp||^2 - ||x - cd||^2) / (2 sigma^2) with ||c||^2 = sum c_j^2 / lambda_j.
@@ -152,7 +153,9 @@ def audit_violations_serial(
     rows = max(1, 2**21 // lam.size)
     n_chunks = -(-n_samples // rows)
     count = 0
-    for k, rng in enumerate(make_rng(seed).spawn(n_chunks)):
+    children = np.random.SeedSequence(entropy=seed & _MASK64).spawn(n_chunks)
+    for k, child in enumerate(children):
+        rng = np.random.Generator(np.random.SFC64(child))
         block = min(rows, n_samples - k * rows)
         x = cd + np.sqrt(sigma_sq * lam) * rng.standard_normal((block, lam.size))
         ratio = (

@@ -319,6 +319,27 @@ def test_dp_audit_rate_matches_exact_privacy_loss_law(scale, swapped):
     assert report.undercalibrated == (scale < 1.0)
 
 
+def test_dp_audit_rate_matches_exact_law_across_seeds():
+    # Each seed's chunk streams are a fresh resample: a stream layout that
+    # biased the rate would show as a large z at some seed.
+    basis = toy_basis()
+    rng = np.random.default_rng(72)
+    cd = rng.normal(size=basis.m)
+    cdp = cd + 0.4 * rng.normal(size=basis.m)
+    pair_sq = cm_norm_sq(cd - cdp, basis)
+    sigma_sq = noise_scale(BUDGET, pair_sq)
+    centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
+    n = 100_000
+    exact = _exact_violation_rate(pair_sq, sigma_sq, BUDGET.epsilon)
+    stderr = math.sqrt(exact * (1.0 - exact) / n)
+    z = [
+        (dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=seed).empirical_violation_rate
+         - exact) / stderr
+        for seed in range(12)
+    ]
+    assert max(map(abs, z)) < 4.0, z
+
+
 def test_dp_audit_rejects_small_sample_count():
     basis = toy_basis()
     theta = reconstruct(np.zeros(basis.m), basis)
