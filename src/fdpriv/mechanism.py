@@ -24,12 +24,14 @@ from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_che
 from .rng import audit_streams, make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
-# Standard normals per audit chunk: chunk k of max(1, 2**21 // m) rows draws
-# from child stream k, so this constant fixes the stream layout, and with it
-# every report.  It fixes nothing else; the block below bounds memory.
-_AUDIT_CHUNK_VALUES = 1 << 21
-# Standard normals per block (1 MB of float64): a chunk is drawn and scored
-# block by block through one reused buffer, so a worker's memory does not
+# Standard normals per audit chunk: chunk k draws max(1, 2**20 // m) noise
+# vectors from child stream k and scores each twice, so this constant fixes
+# the stream layout, and with it every report.  It fixes nothing else;
+# the block below bounds memory.
+_AUDIT_CHUNK_VALUES = 1 << 20
+# Values per block buffer (1 MB of float64): a chunk is drawn and scored block
+# by block through one reused buffer, whose first half holds the draws and
+# whose second half their mirrored releases, so a worker's memory does not
 # grow with n_samples.  Consecutive fills of one Generator give the values of
 # a single fill, so the block size changes no report.
 _AUDIT_BLOCK_VALUES = 1 << 17
@@ -61,7 +63,15 @@ class SanitizedRelease:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Empirical check of the (epsilon, delta) tail bound by Monte Carlo."""
+    """Empirical check of the (epsilon, delta) tail bound by Monte Carlo.
+
+    mc_stderr is sqrt(rate * (1 - rate) / n_samples), the standard error of
+    n_samples independent tail indicators, and an upper bound on the standard
+    error of the audit's mirrored pairs: the privacy loss at the two releases
+    of a pair is mu + t and mu - t with t symmetric, so their tail events are
+    disjoint when mu <= epsilon (covariance -p^2) and their complements are
+    otherwise (covariance -(1 - p)^2), never a positive covariance.
+    """
 
     n_samples: int
     epsilon: float
@@ -196,17 +206,29 @@ def dp_audit(
     argument order: pass the summaries swapped to audit the opposite
     direction.
 
-    The samples come in fixed-size chunks of about 2**21 standard normals;
+    The releases come in mirrored pairs.  The log density ratio is affine in
+    the release, and the noise z is symmetric, so cd + z and cd - z are
+    equally likely releases: each noise draw z = sigma * sqrt(lambda) * xi,
+    through the release's noise path, is scored as both, which halves the
+    normals drawn per sample and keeps the rate unbiased (the AuditReport
+    docstring shows why mc_stderr stays an upper bound).  ceil(n_samples / 2)
+    draws are made; at odd n_samples the mirror of the last one is dropped,
+    so an audit at n_samples + 1 scores the same draws plus that one release.
+
+    The draws come in fixed-size chunks of about 2**20 standard normals;
     chunk k draws from its own child stream ``audit_streams(seed, n)[k]``, an
     SFC64 generator seeded by the k-th ``SeedSequence`` child of
-    ``make_rng(seed)``, through the release's noise path, and the chunks run
-    in parallel on the usable cores.  Each chunk is drawn and scored in
-    blocks of about 2**17 values through one reused buffer, so memory per
-    worker does not depend on n_samples.  The report depends only on
+    ``make_rng(seed)``, and the chunks run in parallel on the usable cores.
+    Each chunk is drawn and scored in blocks through one reused buffer of
+    about 2**17 values, half draws and half mirrors, so memory per worker
+    does not depend on n_samples.  The report depends only on
     (seed, n_samples, basis.m), never on the core count or the block size.
     Releases keep the Philox stream ``make_rng(seed)`` itself, not these
     child streams.
     """
+    if not float(n_samples).is_integer():
+        raise ValueError(f"n_samples must be a whole number, got {n_samples}")
+    n_samples = int(n_samples)
     if n_samples < _AUDIT_MIN_SAMPLES:
         raise ValueError(f"audit needs at least {_AUDIT_MIN_SAMPLES} samples")
     if sigma_sq is not None:
@@ -219,19 +241,23 @@ def dp_audit(
         sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
 
-    n_samples = int(n_samples)
+    draws = -(-n_samples // 2)
     rows = max(1, _AUDIT_CHUNK_VALUES // basis.m)
-    block_rows = max(1, _AUDIT_BLOCK_VALUES // basis.m)
-    streams = audit_streams(seed, -(-n_samples // rows))
+    block_rows = max(1, _AUDIT_BLOCK_VALUES // (2 * basis.m))
+    streams = audit_streams(seed, -(-draws // rows))
 
     def violations(k: int) -> int:
-        chunk = min(rows, n_samples - k * rows)
-        buf = np.empty((min(block_rows, chunk), basis.m))
+        chunk = min(rows, draws - k * rows)
+        buf = np.empty((2 * min(block_rows, chunk), basis.m))
         count = 0
-        for start in range(0, chunk, len(buf)):
-            cx = _noise_coefficients(basis, sigma_sq, streams[k], buf[: chunk - start])
-            cx += cd
-            log_ratio = _log_ratio(cx, cd, cdp, basis, sigma_sq)
+        for start in range(0, chunk, block_rows):
+            b = min(block_rows, chunk - start)
+            z = _noise_coefficients(basis, sigma_sq, streams[k], buf[:b])
+            np.subtract(cd, z, out=buf[b : 2 * b])
+            z += cd
+            # Rows cd + z, then cd - z; the last draw's mirror is dropped at odd n.
+            scored = buf[: min(2 * b, n_samples - 2 * (k * rows + start))]
+            log_ratio = _log_ratio(scored, cd, cdp, basis, sigma_sq)
             count += int(np.count_nonzero(log_ratio > budget.epsilon))
         return count
 

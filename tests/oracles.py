@@ -142,22 +142,28 @@ def audit_violations_serial(
     """Violation count of ``dp_audit``, replayed chunk by chunk on one thread.
 
     Builds the chunk streams itself rather than through ``rng.audit_streams``:
-    chunk k, of max(1, 2**21 // m) rows (the last one short), draws in one
+    the audit makes ceil(n_samples / 2) noise draws, and chunk k, of
+    max(1, 2**20 // m) draws (the last one short), takes its draws in one
     call from an SFC64 generator on the k-th of n_chunks ``SeedSequence``
-    children of the seed's 64-bit entropy.  It draws releases
-    x = cd + sigma * sqrt(lambda) * xi in coefficient space, and scores each
-    by the Cameron-Martin form of the Gaussian log density ratio,
+    children of the seed's 64-bit entropy.  Each draw is scored as the two
+    releases x = cd +/- sigma * sqrt(lambda) * xi in coefficient space, and
+    at odd n_samples the last draw's minus release is dropped.  Each release
+    is scored by the Cameron-Martin form of the Gaussian log density ratio,
     (||x - cdp||^2 - ||x - cd||^2) / (2 sigma^2) with ||c||^2 = sum c_j^2 / lambda_j.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    rows = max(1, 2**21 // lam.size)
-    n_chunks = -(-n_samples // rows)
+    draws = -(-n_samples // 2)
+    rows = max(1, 2**20 // lam.size)
+    n_chunks = -(-draws // rows)
     count = 0
     children = np.random.SeedSequence(entropy=seed & _MASK64).spawn(n_chunks)
     for k, child in enumerate(children):
         rng = np.random.Generator(np.random.SFC64(child))
-        block = min(rows, n_samples - k * rows)
-        x = cd + np.sqrt(sigma_sq * lam) * rng.standard_normal((block, lam.size))
+        block = min(rows, draws - k * rows)
+        noise = np.sqrt(sigma_sq * lam) * rng.standard_normal((block, lam.size))
+        x = np.concatenate([cd + noise, cd - noise])
+        if k == n_chunks - 1 and n_samples % 2:
+            x = x[:-1]
         ratio = (
             np.sum((x - cdp) ** 2 / lam, axis=1) - np.sum((x - cd) ** 2 / lam, axis=1)
         ) / (2.0 * sigma_sq)

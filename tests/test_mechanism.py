@@ -362,14 +362,17 @@ def test_non_finite_sigma_sq_is_refused(call, sigma_sq):
 
 
 def _chunked_audit_case():
-    """A 100-mode pair at 0.05x its calibrated noise, audited over 3 chunks plus 17 rows."""
+    """A 100-mode pair at 0.05x its calibrated noise, audited over 3 chunks plus 17 releases.
+
+    The sample count is odd, so the last draw is scored without its mirror.
+    """
     basis = toy_basis(n_points=120, n_modes=100, seed=13,
                       eigenvalues=tuple(0.5 * 0.95**k for k in range(100)))
     rng = np.random.default_rng(81)
     cd = rng.normal(size=basis.m)
     cdp = cd + 0.4 * rng.normal(size=basis.m)
     sigma_sq = 0.05 * noise_scale(BUDGET, cm_norm_sq(cd - cdp, basis))
-    n_samples = 3 * (2**21 // basis.m) + 17
+    n_samples = 2 * 3 * (2**20 // basis.m) + 17
     return basis, cd, cdp, sigma_sq, n_samples
 
 
@@ -381,14 +384,41 @@ def _chunked_audit_case():
 ], ids=["default", "one_row", "seven_rows", "above_chunk"])
 def test_dp_audit_matches_serial_oracle_across_chunks(monkeypatch, block_values):
     # The oracle draws each chunk in one call; the audit fills it block by block.
-    basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
+    basis, cd, cdp, sigma_sq, odd_n = _chunked_audit_case()
     monkeypatch.setattr(mechanism, "_AUDIT_BLOCK_VALUES", block_values(basis.m))
-    report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
-                      sigma_sq, n, seed=5)
-    expected = audit_violations_serial(cd, cdp, basis.eigenvalues, sigma_sq,
-                                       BUDGET.epsilon, n, seed=5)
-    assert 0 < expected < n
-    assert report.empirical_violation_rate == expected / n
+    for n in (odd_n, odd_n + 1):
+        report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
+                          sigma_sq, n, seed=5)
+        expected = audit_violations_serial(cd, cdp, basis.eigenvalues, sigma_sq,
+                                           BUDGET.epsilon, n, seed=5)
+        assert 0 < expected < n
+        assert report.empirical_violation_rate == expected / n
+
+
+def test_dp_audit_odd_sample_count_drops_one_mirror():
+    # At odd n the audit makes the same draws as at n + 1 and scores every
+    # release but the last draw's mirror, so the counts differ by that one.
+    basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
+    centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
+    counts = [
+        round(dp_audit(*centers, basis, BUDGET, sigma_sq, k, seed=4).empirical_violation_rate * k)
+        for k in (n, n + 1)
+    ]
+    assert 0 < counts[0] < n
+    assert counts[1] - counts[0] in (0, 1)
+
+
+@pytest.mark.parametrize("n_samples", [100_000.5, math.nan, math.inf])
+def test_dp_audit_refuses_non_whole_sample_count(n_samples):
+    basis = toy_basis()
+    centers = (reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis),
+               reconstruct(np.zeros(basis.m), basis))
+    with pytest.raises(ValueError, match="n_samples must be a whole number"):
+        dp_audit(*centers, basis, BUDGET, 0.05, n_samples)
+    # A whole count given as a float is the same audit as the int.
+    report = dp_audit(*centers, basis, BUDGET, 0.05, 10_001.0)
+    assert report == dp_audit(*centers, basis, BUDGET, 0.05, 10_001)
+    assert report.n_samples == 10_001 and report.empirical_violation_rate > 0.0
 
 
 def test_dp_audit_memory_does_not_grow_with_samples(monkeypatch):
