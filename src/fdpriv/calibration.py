@@ -28,13 +28,20 @@ class PrivacyRefusalError(ValueError):
     """A requested release cannot be given a privacy guarantee, so it is refused."""
 
 
+def _noise_multiplier(epsilon: float, delta: float) -> float:
+    """Noise variance per unit delta_sq, 2 log(2/delta) / epsilon^2 (inf if epsilon^2 is 0)."""
+    eps_sq = epsilon**2
+    return 2.0 * math.log(2.0 / delta) / eps_sq if eps_sq > 0.0 else math.inf
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """(epsilon, delta) privacy budget.
 
     epsilon is capped at 1 because the Gaussian-mechanism guarantee this
     package calibrates against is only established for epsilon <= 1; budgets
-    beyond that are refused rather than silently weakened.
+    beyond that are refused rather than silently weakened.  So is a budget
+    whose noise multiplier 2 log(2/delta) / epsilon^2 is not a finite float.
     """
 
     epsilon: float
@@ -50,6 +57,9 @@ class PrivacyBudget:
             )
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie strictly between 0 and 1")
+        if not math.isfinite(_noise_multiplier(self.epsilon, self.delta)):
+            raise ValueError(f"epsilon={self.epsilon} and delta={self.delta} are too small: "
+                             "the noise multiplier 2 log(2/delta) / epsilon^2 is not finite")
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ def noise_scale(budget: PrivacyBudget, delta_sq: float) -> float:
     """Minimal compliant noise variance 2 log(2/delta) / epsilon^2 * delta_sq."""
     if delta_sq < 0.0:
         raise ValueError("delta_sq must be non-negative")
-    return 2.0 * math.log(2.0 / budget.delta) / budget.epsilon**2 * delta_sq
+    return _noise_multiplier(budget.epsilon, budget.delta) * delta_sq
 
 
 def calibrate(

@@ -33,7 +33,7 @@ from .io import (
 )
 from .kernels import Curve, KERNEL_FAMILIES, KernelSpec, uniform_grid
 from .mechanism import dp_audit, noise_energy, release_function
-from .selection import SelectionGrid, _cv_rho_scan, pcv_select
+from .selection import SelectionGrid, cv_score, pcv_select
 from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
 from .spectral import DEFAULT_TRUNCATION_TOL, DegenerateKernelError, kernel_basis
@@ -219,8 +219,9 @@ def cmd_audit(args) -> None:
 
 def cmd_cv(args) -> None:
     data = _load_sample(args.input)
-    scores, best = _cv_rho_scan(data, args.kernel_family, args.phi, args.rho_values, args.eta,
-                                args.folds, args.seed, DEFAULT_TRUNCATION_TOL)
+    scores = [cv_score(data, KernelSpec(args.kernel_family, rho), args.phi, args.eta,
+                       args.folds, args.seed) for rho in args.rho_values]
+    best = int(np.argmin(scores))  # the first minimum: rho_values is sorted
     selected_rho = args.rho_values[best]
     _write_sidecar(args.output, args, n=data.n, scores=scores, selected_rho=selected_rho,
                    selected_score=scores[best])

@@ -30,10 +30,9 @@ _AUDIT_MIN_SAMPLES = 10_000
 # the block below bounds memory.
 _AUDIT_CHUNK_VALUES = 1 << 20
 # Values per block buffer (1 MB of float64): a chunk is drawn and scored block
-# by block through one reused buffer, whose first half holds the draws and
-# whose second half their mirrored releases, so a worker's memory does not
-# grow with n_samples.  Consecutive fills of one Generator give the values of
-# a single fill, so the block size changes no report.
+# by block through one reused buffer of noise draws, so a worker's memory
+# does not grow with n_samples.  Consecutive fills of one Generator give the
+# values of a single fill, so the block size changes no report.
 _AUDIT_BLOCK_VALUES = 1 << 17
 
 
@@ -67,10 +66,11 @@ class AuditReport:
 
     mc_stderr is sqrt(rate * (1 - rate) / n_samples), the standard error of
     n_samples independent tail indicators, and an upper bound on the standard
-    error of the audit's mirrored pairs: the privacy loss at the two releases
-    of a pair is mu + t and mu - t with t symmetric, so their tail events are
-    disjoint when mu <= epsilon (covariance -p^2) and their complements are
-    otherwise (covariance -(1 - p)^2), never a positive covariance.
+    error of the audit's mirrored pairs.  A pair scores the losses mu + t and
+    mu - t of one symmetric t.  If mu <= epsilon, both exceed epsilon only if
+    t > epsilon - mu >= 0 > mu - epsilon > t, so the two tail events are
+    disjoint (covariance -p^2); if mu > epsilon, their complements are
+    (covariance -(1 - p)^2).  The pair covariance is never positive.
     """
 
     n_samples: int
@@ -105,20 +105,17 @@ def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
     return coefficients(x, basis)
 
 
-def _log_ratio(
-    cx: np.ndarray, cd: np.ndarray, cdp: np.ndarray, basis: SpectralBasis, sigma_sq: float
-) -> np.ndarray:
-    """Log density ratio at coefficients cx (one row or a block) of releases centered at cd vs cdp.
+def _loss_line(
+    shift: np.ndarray, d_sq: float, basis: SpectralBasis, sigma_sq: float
+) -> tuple[float, np.ndarray]:
+    """The privacy loss line (mu, slope) of releases centered at cd vs cdp.
 
-    Affine in cx, const + cx . slope, with the norms in const taken in the
-    Cameron-Martin geometry of the noise (covariance sigma_sq times the basis's).
+    shift is cd - cdp and d_sq its squared Cameron-Martin norm D^2.  The log
+    density ratio at the release cd + w is mu + w . slope, with
+    mu = D^2 / (2 sigma_sq) and slope = shift / (lambda sigma_sq): N(mu, 2 mu)
+    when w is the noise.
     """
-    lam = basis.eigenvalues
-    slope = (cd - cdp) / lam / sigma_sq
-    const = -(cm_norm_sq(cd, basis) - cm_norm_sq(cdp, basis)) / (2.0 * sigma_sq)
-    # einsum rather than BLAS gemv: the audit calls this from several threads
-    # at once, and a threaded BLAS inside each would oversubscribe the cores.
-    return const + np.einsum("...j,j->...", cx, slope)
+    return d_sq / (2.0 * sigma_sq), shift / basis.eigenvalues / sigma_sq
 
 
 def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
@@ -181,8 +178,9 @@ def density_log_ratio(
     """
     _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
-    cdp = _span_coefficients(theta_dp, basis, "theta_dp")
-    return float(_log_ratio(coefficients(x, basis), cd, cdp, basis, sigma_sq))
+    shift = cd - _span_coefficients(theta_dp, basis, "theta_dp")
+    mu, slope = _loss_line(shift, cm_norm_sq(shift, basis), basis, sigma_sq)
+    return mu + float((coefficients(x, basis) - cd) @ slope)
 
 
 def dp_audit(
@@ -206,25 +204,25 @@ def dp_audit(
     argument order: pass the summaries swapped to audit the opposite
     direction.
 
-    The releases come in mirrored pairs.  The log density ratio is affine in
-    the release, and the noise z is symmetric, so cd + z and cd - z are
-    equally likely releases: each noise draw z = sigma * sqrt(lambda) * xi,
-    through the release's noise path, is scored as both, which halves the
-    normals drawn per sample and keeps the rate unbiased (the AuditReport
-    docstring shows why mc_stderr stays an upper bound).  ceil(n_samples / 2)
-    draws are made; at odd n_samples the mirror of the last one is dropped,
-    so an audit at n_samples + 1 scores the same draws plus that one release.
+    The log density ratio at the release cd + z is the loss line mu + t,
+    t = z . slope (``_loss_line``), so no release is formed: each noise draw
+    z = sigma * sqrt(lambda) * xi, made through the release's noise path, is
+    scored by t alone.  z and -z are equally likely, so each draw also scores
+    the mirrored release cd - z as the loss mu - t, which halves the normals
+    per sample and keeps the rate unbiased (the AuditReport docstring shows
+    why mc_stderr stays an upper bound).  ceil(n_samples / 2) draws are made
+    and the first floor(n_samples / 2) are mirrored, so at odd n_samples an
+    audit at n_samples + 1 scores the same draws plus one mirror.
 
     The draws come in fixed-size chunks of about 2**20 standard normals;
     chunk k draws from its own child stream ``audit_streams(seed, n)[k]``, an
     SFC64 generator seeded by the k-th ``SeedSequence`` child of
     ``make_rng(seed)``, and the chunks run in parallel on the usable cores.
     Each chunk is drawn and scored in blocks through one reused buffer of
-    about 2**17 values, half draws and half mirrors, so memory per worker
-    does not depend on n_samples.  The report depends only on
-    (seed, n_samples, basis.m), never on the core count or the block size.
-    Releases keep the Philox stream ``make_rng(seed)`` itself, not these
-    child streams.
+    about 2**17 values, so memory per worker does not depend on n_samples.
+    The report depends only on (seed, n_samples, basis.m), never on the core
+    count or the block size.  Releases keep the Philox stream
+    ``make_rng(seed)`` itself, not these child streams.
     """
     if not float(n_samples).is_integer():
         raise ValueError(f"n_samples must be a whole number, got {n_samples}")
@@ -234,31 +232,33 @@ def dp_audit(
     if sigma_sq is not None:
         _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
-    cdp = _span_coefficients(theta_dp, basis, "theta_dp")
-    minimum = noise_scale(budget, cm_norm_sq(cd - cdp, basis))
+    shift = cd - _span_coefficients(theta_dp, basis, "theta_dp")
+    d_sq = cm_norm_sq(shift, basis)
+    minimum = noise_scale(budget, d_sq)
     if sigma_sq is None:
         _check_sigma_sq(minimum, zero_ok=False)  # zero for identical summaries
         sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
+    mu, slope = _loss_line(shift, d_sq, basis, sigma_sq)
 
-    draws = -(-n_samples // 2)
+    draws, mirrored = -(-n_samples // 2), n_samples // 2
     rows = max(1, _AUDIT_CHUNK_VALUES // basis.m)
-    block_rows = max(1, _AUDIT_BLOCK_VALUES // (2 * basis.m))
+    block_rows = max(1, _AUDIT_BLOCK_VALUES // basis.m)
     streams = audit_streams(seed, -(-draws // rows))
 
     def violations(k: int) -> int:
         chunk = min(rows, draws - k * rows)
-        buf = np.empty((2 * min(block_rows, chunk), basis.m))
+        buf = np.empty((min(block_rows, chunk), basis.m))
         count = 0
         for start in range(0, chunk, block_rows):
             b = min(block_rows, chunk - start)
             z = _noise_coefficients(basis, sigma_sq, streams[k], buf[:b])
-            np.subtract(cd, z, out=buf[b : 2 * b])
-            z += cd
-            # Rows cd + z, then cd - z; the last draw's mirror is dropped at odd n.
-            scored = buf[: min(2 * b, n_samples - 2 * (k * rows + start))]
-            log_ratio = _log_ratio(scored, cd, cdp, basis, sigma_sq)
-            count += int(np.count_nonzero(log_ratio > budget.epsilon))
+            # einsum rather than BLAS gemv: the chunks run on several threads
+            # at once, and a threaded BLAS inside each would oversubscribe the cores.
+            t = np.einsum("ij,j->i", z, slope)
+            mirror = t[: mirrored - (k * rows + start)]
+            count += int(np.count_nonzero(mu + t > budget.epsilon)
+                         + np.count_nonzero(mu - mirror > budget.epsilon))
         return count
 
     # Imported here so that only audits pay for loading concurrent.futures.

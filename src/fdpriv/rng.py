@@ -3,9 +3,9 @@
 Releases, simulations and fold splits draw from ``make_rng(seed)`` itself, a
 Philox generator, so that a release replays from the seed in its sidecar.
 The privacy audit draws each fixed-size chunk of its noise draws, each of
-which it scores as a mirrored pair of releases, from its own child stream,
-``audit_streams(seed, n_chunks)[k]``: an SFC64 generator seeded by the k-th
-``SeedSequence`` child of ``make_rng(seed)``.
+which it scores as the privacy loss of a mirrored pair of releases, from its
+own child stream, ``audit_streams(seed, n_chunks)[k]``: an SFC64 generator
+seeded by the k-th ``SeedSequence`` child of ``make_rng(seed)``.
 Chunks can thus run in parallel, and the audit's result depends only on the
 seed, the sample count and the mode count, never on how many cores ran it.
 The audit needs no replay beyond that, so it takes SFC64, whose ziggurat

@@ -24,7 +24,7 @@ from .kernels import KernelSpec
 from .mechanism import noise_energy
 from .rng import make_rng
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
-from .spectral import DEFAULT_TRUNCATION_TOL, SpectralBasis, kernel_basis
+from .spectral import DEFAULT_TRUNCATION_TOL, kernel_basis
 
 
 def _check_folds(folds) -> None:
@@ -75,19 +75,6 @@ def _smoothers(phi, eta: float) -> list[SmootherConfig]:
     return [SmootherConfig(float(p), eta) for p in phis]
 
 
-def _fold_errors(data: SampleSet, basis: SpectralBasis, cfgs: list[SmootherConfig],
-                 folds: int, seed: int):
-    """Per fold, yield (training set, mean squared L2 error of its fit on the
-    held-out rows, one per smoother)."""
-    parts = fold_partition(data.n, folds, seed)
-    for k, held_idx in enumerate(parts):
-        train = data.subset(np.concatenate([p for i, p in enumerate(parts) if i != k]))
-        fits = np.stack([penalized_mean(train, basis, cfg).values for cfg in cfgs])
-        # (P, held, M) differences, one norm per (phi, held-out curve)
-        errors = data.grid.norm_sq(fits[:, None, :] - data.values[held_idx]).mean(axis=1)
-        yield train, errors
-
-
 def cv_score(
     data: SampleSet,
     spec: KernelSpec,
@@ -97,29 +84,11 @@ def cv_score(
     fold_seed: int = 0,
     tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> float | np.ndarray:
-    """k-fold cross-validation score of the penalized mean.
-
-    Average over folds of the mean squared weighted-L2 distance between the
-    training-complement fit and each held-out curve.  phi is a float, giving
-    a float, or a 1-D sequence of penalties, giving an array with one score
-    per penalty; all of them are scored from one spectral basis.
+    """k-fold cross-validation score of the penalized mean: :func:`pcv_score`
+    without a budget, the average over folds of the mean squared weighted-L2
+    distance between the training-complement fit and each held-out curve.
     """
-    basis = kernel_basis(spec, data.grid, tol)
-    cfgs = _smoothers(phi, eta)
-    total = np.zeros(len(cfgs))
-    for _, errors in _fold_errors(data, basis, cfgs, folds, fold_seed):
-        total += errors
-    scores = total / folds
-    return float(scores[0]) if np.ndim(phi) == 0 else scores
-
-
-def _cv_rho_scan(data: SampleSet, family: str, phi: float, rho_values, eta: float,
-                 folds: int, seed: int, tol: float) -> tuple[list[float], int]:
-    """CV score of each range parameter in the given order, and the index of the
-    first minimum (so with increasing rho_values ties go to the smallest rho)."""
-    scores = [cv_score(data, KernelSpec(family, rho), phi, eta, folds, seed, tol)
-              for rho in rho_values]
-    return scores, int(np.argmin(scores))
+    return pcv_score(data, spec, phi, eta, None, folds, fold_seed, tol=tol)
 
 
 def cv_select(
@@ -140,8 +109,9 @@ def cv_select(
     rho_values = sorted(float(r) for r in rho_grid)
     if not rho_values:
         raise ValueError("rho grid must be non-empty")
-    _, best = _cv_rho_scan(data, family, phi_fixed, rho_values, eta, folds, seed, tol)
-    return rho_values[best]
+    scores = [cv_score(data, KernelSpec(family, rho), phi_fixed, eta, folds, seed, tol)
+              for rho in rho_values]
+    return rho_values[int(np.argmin(scores))]
 
 
 def pcv_score(
@@ -149,7 +119,7 @@ def pcv_score(
     spec: KernelSpec,
     phi: float | Sequence[float],
     eta: float,
-    budget: PrivacyBudget,
+    budget: PrivacyBudget | None,
     folds: int = 10,
     seed: int = 0,
     calibrate_on_full_n: bool = False,
@@ -159,25 +129,33 @@ def pcv_score(
 
     Per fold, E||fit + Z - X||^2 averaged over the held-out curves X equals
     the plain CV error plus the noise energy sigma_sq * sum_j lambda_j,
-    exactly, since the noise Z is mean-zero.  The noise variance is
-    calibrated per training complement, at its sample size and its tau (the
-    tau stated for data, or the training curves' largest norm when data's
-    tau was derived from its curves), matching what an analyst fitting on
-    those curves would have to add; calibrate_on_full_n switches to
-    calibrating with the full sample size and tau instead.  seed fixes the
-    folds.  As in :func:`cv_score`, phi is a float (float score) or a 1-D
-    sequence (array of scores), all scored from one spectral basis.
+    exactly, since the noise Z is mean-zero; budget None adds no noise
+    energy, which is :func:`cv_score`.  The noise variance is calibrated per
+    training complement, at its sample size and its tau (the tau stated for
+    data, or the training curves' largest norm when data's tau was derived
+    from its curves), matching what an analyst fitting on those curves would
+    have to add; calibrate_on_full_n switches to calibrating with the full
+    sample size and tau instead.  seed fixes the folds.  phi is a float
+    (float score) or a 1-D sequence (array of scores), all scored from one
+    spectral basis.
     """
     basis = kernel_basis(spec, data.grid, tol)
     cfgs = _smoothers(phi, eta)
+    parts = fold_partition(data.n, folds, seed)
     total = np.zeros(len(cfgs))
-    for train, errors in _fold_errors(data, basis, cfgs, folds, seed):
-        calibrated_on = data if calibrate_on_full_n else train
-        total += errors + [
-            noise_energy(basis, calibrate(basis, cfg.phi, eta, calibrated_on.tau,
-                                          calibrated_on.n, budget).sigma_sq)
-            for cfg in cfgs
-        ]
+    for k, held_idx in enumerate(parts):
+        train = data.subset(np.concatenate([p for i, p in enumerate(parts) if i != k]))
+        fits = np.stack([penalized_mean(train, basis, cfg).values for cfg in cfgs])
+        # (P, held, M) differences, one norm per (phi, held-out curve)
+        errors = data.grid.norm_sq(fits[:, None, :] - data.values[held_idx]).mean(axis=1)
+        if budget is not None:
+            calibrated_on = data if calibrate_on_full_n else train
+            errors += [
+                noise_energy(basis, calibrate(basis, cfg.phi, eta, calibrated_on.tau,
+                                              calibrated_on.n, budget).sigma_sq)
+                for cfg in cfgs
+            ]
+        total += errors
     scores = total / folds
     return float(scores[0]) if np.ndim(phi) == 0 else scores
 

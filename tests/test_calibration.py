@@ -39,6 +39,12 @@ def test_budget_validation():
         PrivacyBudget(0.5, 0.0)
     with pytest.raises(ValueError):
         PrivacyBudget(0.5, 1.0)
+    # 2 log(2/delta) / epsilon^2 must be finite: epsilon^2 underflows to 0,
+    # the quotient overflows, or 2/delta is inf
+    for epsilon, delta in ((1e-200, 0.1), (1e-160, 0.1), (0.5, 1e-320), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match=f"epsilon={epsilon} and delta={delta}"):
+            PrivacyBudget(epsilon, delta)
+    PrivacyBudget(1e-150, 0.1)  # the multiplier is large but finite
 
 
 def test_gs_exact_single_eigenvalue():

@@ -257,6 +257,34 @@ def test_audit_non_finite_sigma_sq_is_config_error(tmp_path, capsys, sigma_sq):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("budget", [("1e-200", "0.1"), ("1e-160", "0.1"), ("0.5", "1e-320")],
+                         ids=["epsilon_sq_underflows", "multiplier_overflows", "tiny_delta"])
+@pytest.mark.parametrize("command", ["release", "projections", "pcv", "sweep", "audit"])
+def test_budget_without_a_finite_noise_multiplier_is_config_error(tmp_path, capsys, command,
+                                                                  budget):
+    sample, smooth = tmp_path / "sample.csv", tmp_path / "smooth.csv"
+    assert run("simulate", "--n", "6", "--grid-points", "30", "--rho", "0.05",
+               "--output", str(sample)) == 0
+    assert run("smooth", "--input", str(sample), "--rho", "0.05", "--output", str(smooth)) == 0
+    out = tmp_path / "out.csv"
+    argv = {
+        "release": ["--input", str(sample), "--rho", "0.05"],
+        "projections": ["--input", str(sample), "--rho", "0.05", "--at", "0.0"],
+        "pcv": ["--input", str(sample), "--phi-grid", "0.1", "--rho-grid", "0.05",
+                "--folds", "3"],
+        "sweep": ["--sweep", "phi", "--values", "0.1", "--n", "6", "--grid-points", "30",
+                  "--rho", "0.05"],
+        "audit": ["--theta-d", str(smooth), "--theta-dp", str(smooth), "--rho", "0.05",
+                  "--samples", "10000"],
+    }[command]
+    epsilon, delta = budget
+    assert run(command, *argv, "--epsilon", epsilon, "--delta", delta,
+               "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"epsilon={float(epsilon)} and delta={float(delta)}" in err
+    assert not out.exists()
+
+
 def test_audit_refuses_multi_curve_summary_file(tmp_path, capsys):
     sample, smooth = tmp_path / "sample.csv", tmp_path / "smooth.csv"
     assert run("simulate", "--n", "25", "--grid-points", "30", "--rho", "0.05",

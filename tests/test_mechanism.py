@@ -172,6 +172,18 @@ def test_density_log_ratio_single_mode_hand_value():
     assert got == pytest.approx(2.0 * c**2 / (sigma_sq * lam1), rel=1e-12)
 
 
+def test_density_log_ratio_is_the_cameron_martin_form_off_center():
+    basis = toy_basis()
+    rng = np.random.default_rng(43)
+    for sigma_sq in (0.05, 0.4, 3.0):
+        for _ in range(10):
+            x, a, b = (reconstruct(rng.normal(size=basis.m), basis) for _ in range(3))
+            cx, ca, cb = (coefficients(c, basis) for c in (x, a, b))
+            expected = (cm_norm_sq(cx - cb, basis) - cm_norm_sq(cx - ca, basis)) / (2.0 * sigma_sq)
+            got = density_log_ratio(x, a, b, basis, sigma_sq)
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
 def test_density_log_ratio_antisymmetry():
     basis = toy_basis()
     rng = np.random.default_rng(37)

@@ -160,6 +160,13 @@ def test_pcv_score_equals_cv_score_without_noise():
     cv = cv_score(data, spec, 0.01, folds=3, fold_seed=1)
     pcv = pcv_score(data, spec, 0.01, 1.0, BUDGET, folds=3, seed=1)
     assert abs(pcv - cv) <= 1e-10
+    # CV is PCV without a budget, exactly, on real data and a whole phi column
+    data = SampleSet.from_values(0.4 * np.random.default_rng(3).normal(size=(9, 10)), grid)
+    for phi in (0.01, [0.001, 0.01, 0.1]):
+        cv = cv_score(data, spec, phi, 1.5, folds=3, fold_seed=4)
+        pcv = pcv_score(data, spec, phi, 1.5, None, folds=3, seed=4)
+        assert np.all(pcv == cv) and np.ndim(pcv) == np.ndim(phi)
+        assert np.all(pcv_score(data, spec, phi, 1.5, BUDGET, folds=3, seed=4) > cv)
 
 
 def test_pcv_score_deterministic():
