@@ -3,12 +3,16 @@
 For a dataset of N curves with L2 norms bounded by tau, the penalized mean
 with penalty (phi, eta) changes by at most
 
-    delta_sq = (4 tau^2 / N^2) * sup_j lambda_j^(2 eta - 1) / (lambda_j^eta + phi)^2
+    delta_sq = (4 tau^2 / N^2) * sup_j s_j^2 / lambda_j
 
-in squared Cameron-Martin norm when one record changes.  The supremum over
-the actual spectrum gives the tight, grid-aware bound; maximizing over all
-lambda > 0 gives the grid-free closed form.  The Gaussian mechanism then
-needs noise variance  sigma_sq = 2 log(2/delta) / epsilon^2 * delta_sq.
+in squared Cameron-Martin norm when one record changes, where
+s_j = lambda_j^eta / (lambda_j^eta + phi) is the smoother's own filter
+(:func:`~fdpriv.smoothing.shrinkage_factors`), so that
+s_j^2 / lambda_j = lambda_j^(2 eta - 1) / (lambda_j^eta + phi)^2.  The
+supremum over the actual spectrum gives the tight, grid-aware bound;
+maximizing over all lambda > 0 gives the grid-free closed form.  The
+Gaussian mechanism then needs noise variance
+sigma_sq = 2 log(2/delta) / epsilon^2 * delta_sq.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import SmootherConfig
+from .smoothing import SmootherConfig, shrinkage_factors
 from .spectral import SpectralBasis
 
 GS_METHODS = ("exact_spectral", "closed_form")
@@ -77,22 +81,32 @@ class CalibrationResult:
     delta: float
 
 
-def _validate_gs_args(phi: float, eta: float, tau: float, n: int) -> None:
-    SmootherConfig(phi, eta)
+def _validate_gs_args(phi: float, eta: float, tau: float, n: int) -> tuple[SmootherConfig, float]:
+    """The smoother (phi, eta) and tau^2; refuses bad inputs and a tau whose square overflows."""
+    cfg = SmootherConfig(phi, eta)
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError("tau must be non-negative")
+    tau_sq = tau * tau
+    if not math.isfinite(tau_sq):
+        raise ValueError(f"tau={tau} is too large: its square overflows")
     if n < 1:
         raise ValueError("sample size must be at least 1")
+    return cfg, tau_sq
 
 
 def gs_exact_bound(
     basis: SpectralBasis, phi: float, eta: float, tau: float, n: int
 ) -> float:
-    """Sensitivity bound with the supremum taken over the retained spectrum."""
-    _validate_gs_args(phi, eta, tau, n)
-    lam = basis.eigenvalues
-    ratios = lam ** (2.0 * eta - 1.0) / (lam**eta + phi) ** 2
-    return 4.0 * tau**2 / n**2 * float(np.max(ratios))
+    """Sensitivity bound (4 tau^2 / N^2) * max_j s_j^2 / lambda_j over the retained spectrum.
+
+    s is the filter :func:`~fdpriv.smoothing.penalized_mean` applies,
+    :func:`~fdpriv.smoothing.shrinkage_factors`.  s_j^2 / lambda_j equals
+    lambda_j^(2 eta - 1) / (lambda_j^eta + phi)^2, but that ratio of powers
+    underflows to 0/0 or 0 at large eta and tiny phi, where this one need not.
+    """
+    cfg, tau_sq = _validate_gs_args(phi, eta, tau, n)
+    s = shrinkage_factors(basis, cfg)
+    return 4.0 * tau_sq / n**2 * float(np.max(s * s / basis.eigenvalues))
 
 
 def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
@@ -102,9 +116,9 @@ def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
     collapses to tau^2 / (N^2 phi) at eta = 1 and never exceeds
     4 tau^2 / (N^2 phi^(1/eta)).
     """
-    _validate_gs_args(phi, eta, tau, n)
+    _, tau_sq = _validate_gs_args(phi, eta, tau, n)
     return (
-        tau**2
+        tau_sq
         / (n**2 * phi ** (1.0 / eta))
         * (2.0 * eta - 1.0) ** (2.0 - 1.0 / eta)
         / eta**2
@@ -131,7 +145,8 @@ def calibrate(
 
     method selects the spectrum-aware bound (tighter, so less noise) or the
     grid-free closed form.  The noise variance is always the minimal one
-    compliant with the budget.
+    compliant with the budget.  A bound that underflows to zero noise at
+    tau > 0 is refused with :class:`PrivacyRefusalError`.
     """
     if method not in GS_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {GS_METHODS}")
@@ -139,9 +154,15 @@ def calibrate(
         delta_sq = gs_exact_bound(basis, phi, eta, tau, n)
     else:
         delta_sq = gs_closed_bound(phi, eta, tau, n)
+    sigma_sq = noise_scale(budget, delta_sq)
+    if sigma_sq == 0.0 and tau > 0.0:
+        raise PrivacyRefusalError(
+            f"the sensitivity bound at tau={tau}, phi={phi}, eta={eta} underflows to "
+            "zero noise, which would release the estimate itself"
+        )
     return CalibrationResult(
         delta_sq=delta_sq,
-        sigma_sq=noise_scale(budget, delta_sq),
+        sigma_sq=sigma_sq,
         method=method,
         phi=float(phi),
         eta=float(eta),

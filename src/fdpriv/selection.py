@@ -82,13 +82,12 @@ def cv_score(
     eta: float = 1.0,
     folds: int = 10,
     fold_seed: int = 0,
-    tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> float | np.ndarray:
     """k-fold cross-validation score of the penalized mean: :func:`pcv_score`
     without a budget, the average over folds of the mean squared weighted-L2
     distance between the training-complement fit and each held-out curve.
     """
-    return pcv_score(data, spec, phi, eta, None, folds, fold_seed, tol=tol)
+    return pcv_score(data, spec, phi, eta, None, folds, fold_seed)
 
 
 def cv_select(
@@ -99,7 +98,6 @@ def cv_select(
     folds: int = 10,
     seed: int = 0,
     eta: float = 1.0,
-    tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> float:
     """Pick the kernel range parameter minimizing the CV score at fixed phi.
 
@@ -109,7 +107,7 @@ def cv_select(
     rho_values = sorted(float(r) for r in rho_grid)
     if not rho_values:
         raise ValueError("rho grid must be non-empty")
-    scores = [cv_score(data, KernelSpec(family, rho), phi_fixed, eta, folds, seed, tol)
+    scores = [cv_score(data, KernelSpec(family, rho), phi_fixed, eta, folds, seed)
               for rho in rho_values]
     return rho_values[int(np.argmin(scores))]
 
@@ -168,7 +166,6 @@ def pcv_select(
     budget: PrivacyBudget,
     seed: int = 0,
     calibrate_on_full_n: bool = False,
-    tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> tuple[float, float]:
     """Exhaustive (phi, rho) grid search minimizing the private CV score.
 
@@ -177,7 +174,7 @@ def pcv_select(
     """
     table = np.column_stack([
         pcv_score(data, KernelSpec(family, rho), grid.phi_values, eta, budget,
-                  grid.folds, seed, calibrate_on_full_n, tol)
+                  grid.folds, seed, calibrate_on_full_n)
         for rho in grid.rho_values
     ])  # (P, R); argmin takes the first minimum in C order
     p, r = np.unravel_index(int(np.argmin(table)), table.shape)

@@ -42,7 +42,7 @@ class SampleSet:
     the quantity sensitivity bounds scale with.  By default (tau None) it is
     recomputed from the data as the largest realized norm, which is itself
     mildly disclosive; pass an explicit tau to bound the data a priori
-    instead.
+    instead.  Nonzero curves whose norms underflow to a tau of 0 are refused.
     """
 
     values: np.ndarray
@@ -68,6 +68,9 @@ class SampleSet:
             raise ValueError("tau must be a finite non-negative bound")
         if norms.max() > tau:
             raise ValueError("a curve exceeds the stated norm bound tau")
+        if tau == 0.0 and np.any(values):
+            raise ValueError("the curves are nonzero but their norms underflow to 0, "
+                             "so tau=0.0 bounds nothing; rescale them")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_tau_stated", self.tau is not None)

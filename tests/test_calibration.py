@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fdpriv import (
+    KernelSpec,
     PrivacyBudget,
     PrivacyRefusalError,
     SpectralBasis,
@@ -12,6 +13,7 @@ from fdpriv import (
     cm_norm_sq,
     gs_closed_bound,
     gs_exact_bound,
+    kernel_basis,
     noise_scale,
     uniform_grid,
 )
@@ -63,6 +65,19 @@ def test_gs_exact_two_eigenvalues():
     got = gs_exact_bound(basis, 0.1, 1.0, 1.0, 2)
     # (4/4) * max(0.5/0.36, 0.25/0.1225) = 100/49
     assert got == pytest.approx(100.0 / 49.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta,phi", [(60.0, 1e-200), (30.0, 1e-170), (200.0, 1e-150)])
+def test_gs_exact_bound_at_extreme_penalties(eta, phi):
+    # lambda^eta and phi meet far below the smallest normal double here, so
+    # expanding s_j^2 / lambda_j as a ratio of powers of lambda_j gives 0/0 or 0
+    basis = kernel_basis(KernelSpec("gaussian", 0.001), uniform_grid(100))
+    log_lam = np.log(basis.eigenvalues)
+    log_ratio = 2.0 * (eta * log_lam - np.logaddexp(eta * log_lam, math.log(phi))) - log_lam
+    expected = 4.0 * 0.5**2 / 25**2 * math.exp(float(np.max(log_ratio)))
+    got = gs_exact_bound(basis, phi, eta, 0.5, 25)
+    assert math.isfinite(got) and got > 0.0
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_gs_closed_bound_values():
@@ -150,6 +165,20 @@ def test_calibrate_worked_values():
     assert result.method == "exact_spectral"
 
 
+@pytest.mark.parametrize("method,phi,eta,tau", [
+    ("exact_spectral", 1e-60, 200.0, 0.5),  # s_j^2 underflows on every mode
+    ("closed_form", 0.1, 1.0, 1e-170),  # tau^2 underflows
+])
+def test_calibrate_refuses_a_bound_that_underflows_to_zero_noise(method, phi, eta, tau):
+    basis = kernel_basis(KernelSpec("gaussian", 0.001), uniform_grid(100))
+    budget = PrivacyBudget(1.0, 0.1)
+    with pytest.raises(PrivacyRefusalError,
+                       match=f"tau={tau}, phi={phi}, eta={eta} underflows to zero noise"):
+        calibrate(basis, phi, eta, tau, 25, budget, method)
+    # tau = 0 bounds data that are all zero: no noise is the right answer there
+    assert calibrate(basis, phi, eta, 0.0, 25, budget, method).sigma_sq == 0.0
+
+
 def test_calibrate_method_ordering():
     basis = toy_basis()
     budget = PrivacyBudget(0.8, 0.05)
@@ -189,6 +218,7 @@ def test_projection_quadratic_form_equality_for_full_rank():
     (0.1, 1.0, -1.0, 5, "tau"),
     (0.1, 1.0, math.nan, 5, "tau"),
     (0.1, 1.0, 1.0, 0, "sample size"),
+    (0.1, 1.0, 1e200, 5, r"tau=1e\+200 is too large"),
 ])
 @pytest.mark.parametrize("bound", [
     lambda *args: gs_exact_bound(toy_basis(), *args),

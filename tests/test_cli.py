@@ -101,6 +101,60 @@ def test_release_of_zero_data_equals_smooth(tmp_path):
     assert float(meta["sigma_sq"]) == 0.0
 
 
+@pytest.mark.parametrize("eta,phi", [("60", "1e-200"), ("200", "1e-150")])
+def test_release_adds_noise_where_powers_of_the_spectrum_underflow(tmp_path, eta, phi):
+    sample, smooth_out, release_out = (tmp_path / f for f in ("D.csv", "s.csv", "r.csv"))
+    assert run("simulate", "--output", str(sample)) == 0
+    common = ["--input", str(sample), "--eta", eta, "--phi", phi]
+    assert run("smooth", *common, "--output", str(smooth_out)) == 0
+    assert run("release", *common, "--output", str(release_out)) == 0
+    sigma_sq = float(read_meta(str(release_out) + ".meta")["sigma_sq"])
+    assert math.isfinite(sigma_sq) and sigma_sq > 0.0
+    assert not np.array_equal(read_curves_csv(smooth_out)[1], read_curves_csv(release_out)[1])
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("release", ["--phi", "1e-60"]),
+    ("projections", ["--phi", "1e-60", "--at", "0.0"]),
+    ("pcv", ["--phi-grid", "1e-60,0.1", "--rho-grid", "0.001", "--folds", "3"]),
+    ("sweep", ["--sweep", "phi", "--values", "1e-60", "--n", "6"]),
+])
+def test_bound_that_underflows_to_zero_noise_is_a_privacy_refusal(tmp_path, capsys, command,
+                                                                   argv):
+    sample, out = tmp_path / "D.csv", tmp_path / "out.csv"
+    assert run("simulate", "--output", str(sample)) == 0
+    inputs = [] if command == "sweep" else ["--input", str(sample)]
+    assert run(command, *inputs, *argv, "--eta", "200", "--output", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "phi=1e-60, eta=200.0 underflows to zero noise" in err and "tau=" in err
+    assert not out.exists()
+
+
+def test_release_refuses_nonzero_curves_whose_norms_underflow(tmp_path, capsys):
+    sample, tiny, out = tmp_path / "D.csv", tmp_path / "tiny.csv", tmp_path / "r.csv"
+    assert run("simulate", "--output", str(sample)) == 0
+    grid, values = read_curves_csv(sample)
+    write_curves_csv(tiny, grid, 1e-170 * values)
+    assert run("release", "--input", str(tiny), "--output", str(out)) == 2
+    assert "norms underflow to 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("release", ["--rho", "0.05"]),
+    ("projections", ["--rho", "0.05", "--at", "0.0"]),
+    ("pcv", ["--phi-grid", "0.1", "--rho-grid", "0.05", "--folds", "3"]),
+])
+def test_tau_whose_square_overflows_is_config_error(tmp_path, capsys, command, argv):
+    sample, out = tmp_path / "D.csv", tmp_path / "out.csv"
+    assert run("simulate", "--n", "6", "--grid-points", "30", "--rho", "0.05",
+               "--output", str(sample)) == 0
+    assert run(command, "--input", str(sample), "--tau", "1e200", *argv,
+               "--output", str(out)) == 2
+    assert "tau=1e+200 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_csv_exit_code_and_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,0.5,1.0\n1.0,x,2.0\n", encoding="utf-8")

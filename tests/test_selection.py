@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -398,3 +399,8 @@ def test_pcv_select_pick_matches_oracle_on_check_set(default_basis, seed,
     sel = SelectionGrid(CHECK_PHIS, CHECK_RHOS, folds=10)
     pick = pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed, calibrate_on_full_n)
     assert pick == (CHECK_PHIS[p], CHECK_RHOS[r]) == (0.1, 0.002)
+
+
+@pytest.mark.parametrize("function", [cv_score, cv_select, pcv_select])
+def test_selection_takes_the_default_basis_truncation(function):
+    assert "tol" not in inspect.signature(function).parameters

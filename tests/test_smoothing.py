@@ -71,6 +71,12 @@ def test_sample_set_rejects_violated_bound_and_mixed_grids():
         SampleSet(np.full((1, 8), 10.0), grid, tau=1.0)
     with pytest.raises(ValueError):  # rows sampled on a 9-point grid
         SampleSet(np.zeros((2, 9)), grid)
+    tiny = np.full((2, 8), 1e-170)  # nonzero, but the squared norms underflow
+    for tau in (None, 0.0):
+        with pytest.raises(ValueError, match="norms underflow to 0"):
+            SampleSet(tiny, grid, tau)
+        assert SampleSet(np.zeros((2, 8)), grid, tau).tau == 0.0
+    assert SampleSet(tiny, grid, 1e-160).tau == 1e-160
 
 
 def test_sample_set_from_values_validates_rows():
