@@ -114,15 +114,23 @@ def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
 
     Equals tau^2 / (N^2 phi^(1/eta)) * (2 eta - 1)^(2 - 1/eta) / eta^2, which
     collapses to tau^2 / (N^2 phi) at eta = 1 and never exceeds
-    4 tau^2 / (N^2 phi^(1/eta)).
+    4 tau^2 / (N^2 phi^(1/eta)).  Inputs at which this expression is not a
+    finite float, such as an eta whose square overflows, are refused.
     """
     _, tau_sq = _validate_gs_args(phi, eta, tau, n)
-    return (
-        tau_sq
-        / (n**2 * phi ** (1.0 / eta))
-        * (2.0 * eta - 1.0) ** (2.0 - 1.0 / eta)
-        / eta**2
-    )
+    try:
+        bound = (
+            tau_sq
+            / (n**2 * phi ** (1.0 / eta))
+            * (2.0 * eta - 1.0) ** (2.0 - 1.0 / eta)
+            / eta**2
+        )
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the closed-form bound at eta={eta}, tau={tau}, phi={phi} "
+                         "is not a finite float")
+    return bound
 
 
 def noise_scale(budget: PrivacyBudget, delta_sq: float) -> float:

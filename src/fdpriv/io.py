@@ -43,9 +43,9 @@ def write_curves_csv(path, grid: Grid, rows) -> None:
     if rows.shape[1] != grid.size:
         raise ValueError("curve rows do not match the grid size")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(format_float(t) for t in grid.points) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        # repr of a Python float is format_float's string; tolist() gives Python floats
+        for row in [grid.points.tolist(), *rows.tolist()]:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_curves_csv(path) -> tuple[Grid, np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,17 @@ def test_projection_quadratic_form_equality_for_full_rank():
 def test_sensitivity_inputs_are_refused(bound, phi, eta, tau, n, match):
     with pytest.raises(ValueError, match=match):
         bound(phi, eta, tau, n)
+
+
+@pytest.mark.parametrize("phi,eta,tau", [
+    (0.1, 1e200, 1.0),  # eta**2 overflows
+    (0.1, 1e160, 1.0),  # (2 eta - 1) ** (2 - 1 / eta) overflows
+    (1e-300, 1.0, 1e10),  # tau^2 / phi overflows to inf
+])
+@pytest.mark.parametrize("bound", [
+    gs_closed_bound,
+    lambda *args: calibrate(toy_basis(), *args, PrivacyBudget(1.0, 0.1), "closed_form"),
+], ids=["gs_closed_bound", "calibrate"])
+def test_closed_form_bound_that_is_not_finite_is_refused(bound, phi, eta, tau):
+    with pytest.raises(ValueError, match=re.escape(f"closed-form bound at eta={eta},")):
+        bound(phi, eta, tau, 5)

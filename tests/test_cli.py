@@ -155,6 +155,16 @@ def test_tau_whose_square_overflows_is_config_error(tmp_path, capsys, command, a
     assert not out.exists()
 
 
+def test_closed_form_bound_that_overflows_is_config_error(tmp_path, capsys):
+    sample, out = tmp_path / "D.csv", tmp_path / "out.csv"
+    assert run("simulate", "--n", "6", "--grid-points", "30", "--rho", "0.05",
+               "--output", str(sample)) == 0
+    assert run("release", "--input", str(sample), "--rho", "0.05", "--method", "closed_form",
+               "--eta", "1e200", "--output", str(out)) == 2
+    assert "closed-form bound at eta=1e+200," in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_csv_exit_code_and_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,0.5,1.0\n1.0,x,2.0\n", encoding="utf-8")

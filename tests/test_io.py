@@ -36,6 +36,21 @@ def test_curve_csv_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_curve_csv_bytes_are_format_float_joins(tmp_path):
+    edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1.7976931348623157e308,
+            3.0, -42.0, 1e16, 0.1 + 0.2, 1e-5, 123456789.125]
+    rng = np.random.default_rng(4)
+    for grid, rows in [
+        (uniform_grid(len(edge)), np.array([edge, edge[::-1]])),
+        (uniform_grid(9), rng.normal(scale=1e3, size=(6, 9)) * rng.uniform(size=(6, 9)) ** 40),
+    ]:
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, grid, rows)
+        lines = [grid.points, *rows]
+        expected = "".join(",".join(format_float(v) for v in line) + "\n" for line in lines)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_curve_csv_uses_lf_and_no_header(tmp_path):
     grid = uniform_grid(3)
     path = tmp_path / "c.csv"

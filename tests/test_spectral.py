@@ -16,6 +16,7 @@ from fdpriv import (
     gram_matrix,
     grid_from_points,
     reconstruct,
+    spectral,
     uniform_grid,
 )
 
@@ -137,30 +138,129 @@ def test_decompose_splits_only_centrosymmetric_matrices(monkeypatch, grid, expec
     assert shapes == expected
 
 
+def assert_matches_one_full_eigh(basis, gram, grid, tol=1e-12):
+    """Kept count, eigenvalues and kept span of a basis against one full-size eigh."""
+    eps = np.finfo(float).eps
+    sqrt_w = np.sqrt(grid.weights)
+    sym = sqrt_w[:, None] * gram * sqrt_w[None, :]
+    evals = np.linalg.eigvalsh(sym)
+    if evals[0] > tol * evals[-1]:  # every mode kept: the kept span is the whole space
+        evecs = np.empty((grid.size, 0))
+    else:
+        evals, evecs = np.linalg.eigh(sym)
+    lam_max = evals[-1]
+    kept = np.nonzero(evals > tol * lam_max)[0][::-1]
+    assert basis.m == kept.size
+    assert np.abs(basis.eigenvalues - evals[kept]).max() <= 1e-13 * lam_max
+    # The kept span is fixed only up to round-off over the gap at the cut
+    # (Davis-Kahan): M * eps * lam_max / gap, which is large when the cut
+    # falls among eigenvalues of order tol * lam_max.  The error is measured
+    # as ||P - P_eigh||_F = sqrt(2) ||V_dropped^T U||_F, which bounds the
+    # largest entry of P - P_eigh and costs no M x M product.
+    gap = evals[kept[-1]] - evals[kept[-1] - 1] if kept[-1] > 0 else math.inf
+    u = sqrt_w[:, None] * basis.matrix
+    projector_error = math.sqrt(2.0) * np.linalg.norm(evecs[:, : kept[-1]].T @ u)
+    assert projector_error <= 1e-10 + grid.size * eps * lam_max / gap
+
+
+def switch_off_low_rank_route(monkeypatch):
+    monkeypatch.setattr(spectral, "_low_rank_eigh", lambda *args: None)
+
+
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 @pytest.mark.parametrize("m", [2, 3, 100, 101, 1000])
 def test_split_route_matches_one_full_eigh(monkeypatch, family, m):
+    # Gaussian bases at M = 1000 take the low-rank route, so it is switched
+    # off here to keep checking the split route at that size.
     grid = uniform_grid(m)
-    eps = np.finfo(float).eps
     for rho in (0.001, 0.1):
         gram = gram_matrix(KernelSpec(family, rho), grid)
+        switch_off_low_rank_route(monkeypatch)
         shapes = record_eigh_shapes(monkeypatch)
         basis = decompose(gram, grid)
         assert max(shapes) == (m - m // 2, m - m // 2)
         monkeypatch.undo()
-        sqrt_w = np.sqrt(grid.weights)
-        evals, evecs = np.linalg.eigh(sqrt_w[:, None] * gram * sqrt_w[None, :])
-        lam_max = evals[-1]
-        kept = np.nonzero(evals > 1e-12 * lam_max)[0][::-1]
-        assert basis.m == kept.size
-        assert np.abs(basis.eigenvalues - evals[kept]).max() <= 1e-13 * lam_max
-        # The kept span is fixed only up to round-off over the gap at the cut
-        # (Davis-Kahan): M * eps * lam_max / gap, which is large when the cut
-        # falls among eigenvalues of order tol * lam_max.
-        gap = evals[kept[-1]] - evals[kept[-1] - 1] if kept[-1] > 0 else math.inf
-        u = sqrt_w[:, None] * basis.matrix
-        projector_error = np.abs(u @ u.T - evecs[:, kept] @ evecs[:, kept].T).max()
-        assert projector_error <= 1e-10 + m * eps * lam_max / gap
+        assert_matches_one_full_eigh(basis, gram, grid)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("m", [200, 500, 1000, 2000])
+def test_decompose_matches_one_full_eigh_on_every_route(family, m):
+    grid = uniform_grid(m)
+    for rho in (0.0005, 0.001, 0.01, 0.1):
+        gram = gram_matrix(KernelSpec(family, rho), grid)
+        assert_matches_one_full_eigh(decompose(gram, grid), gram, grid)
+
+
+def jittered_grid(m):
+    """An m-point grid with every interior point moved by up to a fifth of a gap."""
+    points = np.linspace(0.0, 1.0, m)
+    points[1:-1] += np.random.default_rng(9).uniform(-0.2, 0.2, m - 2) / (m - 1)
+    return grid_from_points(points)
+
+
+@pytest.mark.parametrize(
+    "family, grid, dense_shapes",
+    [
+        ("gaussian", uniform_grid(1000), None),
+        ("gaussian", jittered_grid(1000), None),
+        ("matern52", uniform_grid(1000), [(500, 500), (500, 500)]),
+        ("exponential", uniform_grid(1000), [(500, 500), (500, 500)]),
+        ("matern52", jittered_grid(1000), [(1000, 1000)]),
+        ("exponential", jittered_grid(1000), [(1000, 1000)]),
+    ],
+    ids=["gaussian", "gaussian-jittered", "matern52", "exponential",
+         "matern52-jittered", "exponential-jittered"],
+)
+def test_low_rank_route_is_taken_only_for_fast_decaying_spectra(
+    monkeypatch, family, grid, dense_shapes
+):
+    gram = gram_matrix(KernelSpec(family, 0.001), grid)
+    shapes = record_eigh_shapes(monkeypatch)
+    basis = decompose(gram, grid)
+    if dense_shapes is None:  # one r x r eigh, r between the kept count and M / 4
+        (r, r2), = shapes
+        assert r == r2 and basis.m <= r <= grid.size // 4
+    else:
+        assert shapes == dense_shapes
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("rho", [0.0005, 0.001, 0.002, 0.01, 0.1])
+def test_cli_sized_bases_keep_the_split_route(monkeypatch, family, rho):
+    # The 100-point default grid is below the low-rank route's minimum size,
+    # so its bases, and every output built on them, are those of the split route.
+    grid = uniform_grid(100)
+    gram = gram_matrix(KernelSpec(family, rho), grid)
+    shapes = record_eigh_shapes(monkeypatch)
+    decompose(gram, grid)
+    assert shapes == [(50, 50), (50, 50)]
+
+
+def test_low_rank_route_falls_back_when_tol_is_below_its_round_off_floor(monkeypatch):
+    # At tol = 1e-15 the stop would need a residual trace of 1e-17 lam_max,
+    # below the round-off floor eps * tr S of the downdated diagonal.
+    grid = uniform_grid(1000)
+    gram = gram_matrix(KernelSpec("gaussian", 0.001), grid)
+    shapes = record_eigh_shapes(monkeypatch)
+    decompose(gram, grid, tol=1e-15)
+    assert shapes == [(500, 500), (500, 500)]
+
+
+def test_low_rank_route_at_a_coarse_cut_keeps_the_dense_modes(monkeypatch):
+    grid = uniform_grid(1000)
+    gram = gram_matrix(KernelSpec("gaussian", 0.001), grid)
+    shapes = record_eigh_shapes(monkeypatch)
+    basis = decompose(gram, grid, tol=0.5)
+    (r, _), = shapes
+    assert r < grid.size // 4
+    monkeypatch.undo()
+    switch_off_low_rank_route(monkeypatch)
+    dense = decompose(gram, grid, tol=0.5)
+    assert basis.m == dense.m
+    assert np.abs(basis.eigenvalues - dense.eigenvalues).max() <= 1e-13 * dense.eigenvalues[0]
+    assert np.abs(basis.matrix - dense.matrix).max() <= 1e-8
+    assert_matches_one_full_eigh(basis, gram, grid, tol=0.5)
 
 
 def test_decompose_reconstructs_gram_at_full_rank(default_basis):
