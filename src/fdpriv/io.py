@@ -4,6 +4,12 @@ Curve CSV contract: first row holds the grid points, each later row one
 curve; comma separated, '.' decimal separator, LF line endings, no header.
 Floats are written with shortest round-trip decimal formatting, so reading a
 file back reproduces every value bit for bit.
+
+Curve CSVs are parsed by numpy's C reader (``np.loadtxt``), which converts
+each field with ``PyOS_string_to_double``, the same correctly rounded
+conversion as ``float()``.  Blank lines, CRLF line endings and spaces around
+a field are accepted; unlike ``float()``, the reader refuses underscore digit
+separators such as ``1_0``.
 """
 
 from __future__ import annotations
@@ -54,29 +60,27 @@ def read_curves_csv(path) -> tuple[Grid, np.ndarray]:
     Grid weights are reconstructed from the points: uniform for equispaced
     grids, trapezoid otherwise.
     """
-    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                parsed = list(map(float, line.split(",")))
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if rows and len(parsed) != len(rows[0]):
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(rows[0])} values, "
-                    f"got {len(parsed)}"
-                )
-            rows.append(parsed)
-    if len(rows) < 2:
+        lines = [(n, text) for n, text in enumerate(fh, start=1) if text.strip()]
+    if len(lines) < 2:  # also spares np.loadtxt an empty input, on which it warns
         raise CsvFormatError(f"{path}: need a grid row and at least one curve row")
+    at = [0, ""]  # number and text of the line the parser was last handed
+
+    def fed():
+        for at[0], at[1] in lines:
+            yield at[1]
+
+    try:
+        rows = np.loadtxt(fed(), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        expected, got = lines[0][1].count(",") + 1, at[1].count(",") + 1
+        reason = f"expected {expected} values, got {got}" if got != expected else exc
+        raise CsvFormatError(f"{path}: line {at[0]}: {reason}") from exc
     try:
         grid = grid_from_points(rows[0])
     except ValueError as exc:
-        raise CsvFormatError(f"{path}: line 1: {exc}") from exc
-    return grid, np.asarray(rows[1:], dtype=float)
+        raise CsvFormatError(f"{path}: line {lines[0][0]}: {exc}") from exc
+    return grid, rows[1:]
 
 
 def meta_path(output_path) -> str:

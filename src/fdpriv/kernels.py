@@ -137,15 +137,18 @@ class KernelSpec:
         object.__setattr__(self, "rho", rho)
 
 
-def gram_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, grid: Grid, rows=None) -> np.ndarray:
     """Kernel matrix G[i, j] = C(t_i, t_j) over the grid points.
 
     All four families are stationary in d = |t - s| and normalized to lie in
     (0, 1], so G is exactly symmetric, has unit diagonal, and is positive
-    semi-definite up to round-off.
+    semi-definite up to round-off.  ``rows``, a sequence of grid indices,
+    gives just G[rows, :]: each entry is computed by the same arithmetic, so
+    it equals the full matrix's bit for bit.
     """
     t = grid.points
-    d = np.abs(t[:, None] - t[None, :])
+    rows = np.arange(t.size) if rows is None else np.asarray(rows, dtype=np.intp)
+    d = np.abs(t[rows][:, None] - t[None, :])
     rho = spec.rho
     if spec.family == "gaussian":
         gram = np.exp(-(d**2) / rho)
@@ -157,5 +160,5 @@ def gram_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
         gram = (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
     else:  # "exponential", the one family left in KERNEL_FAMILIES
         gram = np.exp(-d / rho)
-    np.fill_diagonal(gram, 1.0)
+    gram[np.arange(rows.size), rows] = 1.0  # the diagonal entries among the rows
     return gram

@@ -8,7 +8,11 @@ squared Cameron-Martin norm  sum_j c_j^2 / lambda_j  of a coefficient vector
 is the quantity that controls how much Gaussian noise a release needs.
 
 ``decompose`` has three routes to those eigenpairs, and all of them apply
-the same truncation and sign rules.
+the same truncation and sign rules.  ``kernel_basis`` takes the same routes
+to the same basis, bit for bit, without holding the M x M Gram matrix on the
+low-rank route: it evaluates each pivot row of the kernel on its own, with
+``gram_matrix(spec, grid, rows=[p])``, and forms the whole matrix only when
+a dense route runs.
 
 * Low rank.  Smooth kernels keep few modes whatever the grid size: the
   Gaussian keeps 111 at rho = 0.001 and 39 at rho = 0.01.  On grids of at
@@ -17,10 +21,10 @@ the same truncation and sign rules.
   once the trace of the residual certifies that no eigenvalue above the
   truncation cut is left out (Harbrecht, Peters & Schneider, Appl. Numer.
   Math. 2012).  A QR of the M x r factor and an r x r eigh then give the
-  eigenpairs.  The route gives up, and a dense route takes over, once the
-  rank would pass M / _LOW_RANK_RANK_SHARE or the trace is not falling fast
-  enough to certify within that budget: the Matern and exponential kernels
-  keep most of their modes, so they take a dense route.
+  eigenpairs, from O(M r) numbers.  The route gives up, and a dense route
+  takes over, once the rank would pass M / _LOW_RANK_RANK_SHARE or the trace
+  is not falling fast enough to certify within that budget: the Matern and
+  exponential kernels keep most of their modes, so they take a dense route.
 * Split.  Every kernel family is stationary, so on a grid symmetric about
   its midpoint (uniform grids, and any grid whose points and weights
   mirror) S is centrosymmetric: J S J = S with J the exchange matrix.  Such
@@ -95,7 +99,8 @@ class SpectralBasis:
             raise ValueError("eigenfunctions must live on the basis grid")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("eigenfunction values must be finite")
-        overlap = matrix.T @ (self.grid.weights[:, None] * matrix)
+        u = np.sqrt(self.grid.weights)[:, None] * matrix
+        overlap = u.T @ u  # V^T W V, by the symmetric product u^T u that numpy runs as one syrk
         if np.max(np.abs(overlap - np.eye(lam.size))) > 1e-8:
             raise ValueError("eigenfunctions are not orthonormal under the grid weights")
         lam.setflags(write=False)
@@ -153,10 +158,44 @@ def decompose(
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (grid.size, grid.size):
         raise ValueError("gram matrix does not match the grid size")
+    # row p of (G + G^T) / 2, the matrix the dense routes solve
+    return _eigenbasis(np.diagonal(gram), lambda p: 0.5 * (gram[p] + gram[:, p]),
+                       lambda: gram, grid, tol, spec)
+
+
+def kernel_basis(
+    spec: KernelSpec, grid: Grid, tol: float = DEFAULT_TRUNCATION_TOL
+) -> SpectralBasis:
+    """Gram matrix + decomposition in one step, recording the kernel spec.
+
+    The basis is decompose(gram_matrix(spec, grid), grid, tol, spec=spec),
+    bit for bit, but the Gram matrix is formed only if a dense route runs.
+    The kernel has a unit diagonal and exactly symmetric rows, so the
+    low-rank route reads each pivot row from gram_matrix(spec, grid, rows=[p])
+    and holds O(M r) numbers instead of M^2.
+    """
+    return _eigenbasis(np.ones(grid.size), lambda p: gram_matrix(spec, grid, rows=[p])[0],
+                       partial(gram_matrix, spec, grid), grid, tol, spec)
+
+
+def _eigenbasis(
+    diag: np.ndarray,
+    row: Callable[[int], np.ndarray],
+    full: Callable[[], np.ndarray],
+    grid: Grid,
+    tol: float,
+    spec: KernelSpec | None,
+) -> SpectralBasis:
+    """decompose's truncation and sign rules over a symmetric G given three ways.
+
+    ``diag`` is G's diagonal, ``row(p)`` row p of G (read by the low-rank
+    route) and ``full()`` the whole matrix (called only when a dense route
+    runs).
+    """
     if not (0.0 < tol < 1.0):
         raise ValueError("truncation tol must lie in (0, 1)")
     sqrt_w = np.sqrt(grid.weights)
-    evals, vectors = _low_rank_eigh(gram, sqrt_w, tol) or _dense_eigh(gram, sqrt_w)
+    evals, vectors = _low_rank_eigh(diag, row, sqrt_w, tol) or _dense_eigh(full(), sqrt_w)
     lam_max = evals[-1]
     if not (lam_max > 0.0):
         raise DegenerateKernelError("degenerate kernel: no positive eigenvalues")
@@ -186,12 +225,14 @@ def _dense_eigh(gram: np.ndarray, sqrt_w: np.ndarray) -> _Eigh:
     return evals, partial(np.take, evecs, axis=1)  # the columns at given positions
 
 
-def _low_rank_eigh(gram: np.ndarray, sqrt_w: np.ndarray, tol: float) -> _Eigh | None:
+def _low_rank_eigh(
+    diag: np.ndarray, row: Callable[[int], np.ndarray], sqrt_w: np.ndarray, tol: float
+) -> _Eigh | None:
     """Eigenpairs of S ~ L L^T from a greedy pivoted Cholesky factor L, or None.
 
     Step k pivots on the largest entry p of the residual diagonal d of
-    R = S - L L^T, reads row p of S from ``gram`` (symmetrised and
-    weighted, one row at a time), appends column l_k and downdates d by
+    R = S - L L^T, reads row p of S as row(p), row p of the symmetric G,
+    times the weights, appends column l_k and downdates d by
     l_k^2, so that tr R drops by |l_k|^2.  The largest such drop is a lower
     bound on lambda_max(S).  decompose's docstring gives the stop rule, why
     it certifies the kept modes, and when the route gives up (None).
@@ -202,10 +243,10 @@ def _low_rank_eigh(gram: np.ndarray, sqrt_w: np.ndarray, tol: float) -> _Eigh | 
     fail.  The eigenpairs of L L^T are those of the r x r matrix
     (R D)(R D)^T, their eigenvectors mapped through Q.
     """
-    m = gram.shape[0]
+    m = sqrt_w.size
     if m < _LOW_RANK_MIN_SIZE:
         return None
-    diag = sqrt_w * sqrt_w * np.diagonal(gram)
+    diag = sqrt_w * sqrt_w * diag
     trace = float(diag.sum())
     if not (trace > 0.0 and diag.min() >= 0.0):
         return None
@@ -213,7 +254,7 @@ def _low_rank_eigh(gram: np.ndarray, sqrt_w: np.ndarray, tol: float) -> _Eigh | 
     resid = diag / trace  # the residual diagonal, relative to tr S
     cut = _LOW_RANK_CUT_SHARE * min(tol, DEFAULT_TRUNCATION_TOL)
     floor = np.finfo(float).eps  # the round-off floor of the downdated trace, relative to tr S
-    row_weights = sqrt_w * (0.5 / trace)
+    row_weights = sqrt_w * (1.0 / trace)
     factor = np.empty((budget, m))  # row k is column k of L / sqrt(tr S)
     scales = np.empty(budget)
     lam_low, residual, traces = 0.0, 1.0, []
@@ -222,11 +263,10 @@ def _low_rank_eigh(gram: np.ndarray, sqrt_w: np.ndarray, tol: float) -> _Eigh | 
         if not resid[p] > 0.0:  # nothing left to pivot on, yet no certificate
             return None
         scale = scales[k] = math.sqrt(resid[p])
-        row = factor[k]
-        np.add(gram[p], gram[:, p], out=row)
-        row *= row_weights * (sqrt_w[p] / scale)
-        row -= (factor[:k, p] / scale) @ factor[:k]
-        resid -= row * row
+        col = factor[k]
+        np.multiply(row(p), row_weights * (sqrt_w[p] / scale), out=col)
+        col -= (factor[:k, p] / scale) @ factor[:k]
+        resid -= col * col
         resid[p] = 0.0
         previous, residual = residual, float(resid.sum())
         lam_low = max(lam_low, previous - residual)
@@ -296,13 +336,6 @@ def _split_eigh(sym: np.ndarray) -> _Eigh:
         return out
 
     return evals[order], vectors
-
-
-def kernel_basis(
-    spec: KernelSpec, grid: Grid, tol: float = DEFAULT_TRUNCATION_TOL
-) -> SpectralBasis:
-    """Gram matrix + decomposition in one step, recording the kernel spec."""
-    return decompose(gram_matrix(spec, grid), grid, tol, spec=spec)
 
 
 def coefficients(x: Curve, basis: SpectralBasis) -> np.ndarray:

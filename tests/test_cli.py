@@ -171,6 +171,9 @@ def test_malformed_csv_exit_code_and_line_number(tmp_path, capsys):
     code = run("smooth", "--input", str(bad), "--output", str(tmp_path / "o.csv"))
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+    bad.write_text("", encoding="utf-8")
+    assert run("smooth", "--input", str(bad), "--output", str(tmp_path / "o.csv")) == 2
+    assert "need a grid row" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_config_error(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,56 @@ def test_read_curves_csv_reports_line_numbers(tmp_path):
     path.write_text("0.0,0.5,1.0\n", encoding="utf-8")
     with pytest.raises(CsvFormatError):
         read_curves_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n", "\r\n \r\n"],
+                         ids=["empty", "newline", "blank-lines", "blank-crlf"])
+def test_read_curves_csv_refuses_a_file_without_data_and_warns_nothing(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvFormatError, match="need a grid row"):
+            read_curves_csv(path)
+
+
+def test_read_curves_csv_accepts_crlf_blank_lines_and_spaces_around_fields(tmp_path):
+    path = tmp_path / "loose.csv"
+    path.write_bytes(b"0.0, 0.5 ,1.0\r\n\r\n   \r\n 1.5,-2e-3 , 3\r\n\t\n4,5,6")
+    grid, rows = read_curves_csv(path)
+    assert grid.points.tolist() == [0.0, 0.5, 1.0]
+    assert rows.tolist() == [[1.5, -2e-3, 3.0], [4.0, 5.0, 6.0]]
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        ("0.0,0.5,1.0\n1,2,3\n\n  \n4,5,6\n7,x,9\n1,2,3\n", 6, "'x'"),
+        ("0.0,0.5,1.0\n\n\n \n1,2\n1,2,3\n", 5, "expected 3 values, got 2"),
+        ("0.0,0.5,1.0\r\n\r\n1,2,3,4\r\n", 3, "expected 3 values, got 4"),
+        ("0.0,0.5,1.0\n1_0,2,3\n", 2, "'1_0'"),
+        ("0.0,oops,1.0\n1,2,3\n", 1, "'oops'"),
+        ("\n \n0.5,0.0,1.0\n1,2,3\n", 3, "strictly increasing"),
+    ],
+    ids=["bad-cell", "short-row-after-blanks", "long-row-crlf", "underscore", "grid-row",
+         "grid-after-blanks"],
+)
+def test_read_curves_csv_names_the_exact_line(tmp_path, text, line, reason):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(CsvFormatError) as info:
+        read_curves_csv(path)
+    assert f": line {line}: " in str(info.value)
+    assert reason in str(info.value)
+
+
+def test_read_curves_csv_reads_edge_floats_back_bit_for_bit(tmp_path):
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
+    path = tmp_path / "edge.csv"
+    write_curves_csv(path, uniform_grid(5), [edge, edge[::-1]])
+    _, rows = read_curves_csv(path)
+    expected = np.array([edge, edge[::-1]])
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
 def test_read_curves_csv_nonuniform_gets_trapezoid_weights(tmp_path):

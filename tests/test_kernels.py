@@ -163,3 +163,18 @@ def test_gram_matrix_positive_semidefinite_up_to_roundoff():
             grid = grid_from_points(pts)
             evals = np.linalg.eigvalsh(gram_matrix(KernelSpec(family, 0.05), grid))
             assert evals.min() >= -1e-8 * evals.max()
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_gram_matrix_rows_are_the_full_matrix_rows_bit_for_bit(family):
+    jittered = np.linspace(0.0, 1.0, 301)
+    jittered[1:-1] += np.random.default_rng(3).uniform(-0.2, 0.2, 299) / 300
+    for grid in (uniform_grid(301), grid_from_points(jittered)):
+        for rho in (0.001, 0.1):
+            spec = KernelSpec(family, rho)
+            full = gram_matrix(spec, grid)
+            for rows in ([0], [150], [300], [7, 7, 0, 299], list(range(0, 301, 3))):
+                part = gram_matrix(spec, grid, rows=rows)
+                assert part.shape == (len(rows), grid.size)
+                assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
+                assert np.all(part[np.arange(len(rows)), rows] == 1.0)

@@ -15,6 +15,7 @@ from fdpriv import (
     decompose,
     gram_matrix,
     grid_from_points,
+    kernel_basis,
     reconstruct,
     spectral,
     uniform_grid,
@@ -263,6 +264,67 @@ def test_low_rank_route_at_a_coarse_cut_keeps_the_dense_modes(monkeypatch):
     assert_matches_one_full_eigh(basis, gram, grid, tol=0.5)
 
 
+@pytest.mark.parametrize(
+    "family, grid, route",
+    [
+        ("gaussian", uniform_grid(1000), "low-rank"),
+        ("gaussian", jittered_grid(1000), "low-rank"),
+        ("gaussian", uniform_grid(100), "split"),
+        ("matern52", uniform_grid(1000), "split"),
+        ("exponential", jittered_grid(1000), "full"),
+        ("matern32", jittered_grid(100), "full"),
+    ],
+    ids=["gaussian-1000", "gaussian-jittered-1000", "gaussian-100", "matern52-1000",
+         "exponential-jittered-1000", "matern32-jittered-100"],
+)
+def test_kernel_basis_equals_decompose_of_the_gram_matrix_bit_for_bit(
+    monkeypatch, family, grid, route
+):
+    spec = KernelSpec(family, 0.001)
+    shapes = record_eigh_shapes(monkeypatch)
+    basis = kernel_basis(spec, grid)
+    m, h = grid.size, grid.size // 2
+    if route == "low-rank":  # one r x r eigh
+        (r, _), = shapes
+        assert r <= m // 4
+    else:
+        assert shapes == ([(m - h, m - h), (h, h)] if route == "split" else [(m, m)])
+    dense = decompose(gram_matrix(spec, grid), grid, spec=spec)
+    assert basis.spec == dense.spec == spec
+    assert np.array_equal(basis.eigenvalues.view(np.uint64), dense.eigenvalues.view(np.uint64))
+    assert np.array_equal(basis.matrix.view(np.uint64), dense.matrix.view(np.uint64))
+
+
+def record_gram_requests(monkeypatch) -> list:
+    """Wrap spectral.gram_matrix, which kernel_basis calls; record each request's rows (None: all)."""
+    requests = []
+
+    def recording_gram_matrix(spec, grid, rows=None):
+        requests.append(rows)
+        return gram_matrix(spec, grid, rows)
+
+    monkeypatch.setattr(spectral, "gram_matrix", recording_gram_matrix)
+    return requests
+
+
+def test_low_rank_kernel_basis_reads_single_kernel_rows_only(monkeypatch):
+    grid = uniform_grid(1000)
+    requests = record_gram_requests(monkeypatch)
+    basis = kernel_basis(KernelSpec("gaussian", 0.001), grid)
+    assert all(rows is not None and len(rows) == 1 for rows in requests)
+    assert basis.m <= len(requests) <= grid.size // 4
+    assert len({rows[0] for rows in requests}) == len(requests)  # no row read twice
+
+
+def test_abandoned_low_rank_kernel_basis_forms_the_gram_matrix_once(monkeypatch):
+    grid = uniform_grid(1000)
+    requests = record_gram_requests(monkeypatch)
+    kernel_basis(KernelSpec("matern52", 0.001), grid)
+    assert requests[-1] is None and requests.count(None) == 1
+    # abandoned at the first decay check, a quarter of the rank budget M / 4
+    assert 0 < len(requests) - 1 <= grid.size // 16
+
+
 def test_decompose_reconstructs_gram_at_full_rank(default_basis):
     gram = gram_matrix(KernelSpec("gaussian", 0.001), default_basis.grid)
     recon = default_basis.matrix @ (
@@ -301,6 +363,9 @@ def test_basis_construction_rejects_bad_inputs():
     assert basis.matrix is not good and not basis.matrix.flags.writeable
     with pytest.raises(ValueError):  # not orthonormal under the weights
         SpectralBasis(np.array([0.5, 0.25]), good[:, [0, 0]], grid)
+    with pytest.raises(ValueError, match="orthonormal"):  # off by 1e-7, past the 1e-8 bound
+        SpectralBasis(np.array([0.5, 0.25]), good * [1.0, 1.0 + 5e-8], grid)
+    SpectralBasis(np.array([0.5, 0.25]), good * [1.0, 1.0 + 1e-10], grid)
     with pytest.raises(ValueError):  # increasing eigenvalues
         SpectralBasis(np.array([0.25, 0.5]), good, grid)
     with pytest.raises(ValueError):  # non-positive eigenvalue
