@@ -58,12 +58,10 @@ from .smoothing import (
 )
 from .spectral import (
     CompatibilityReport,
-    DegenerateKernelError,
     SpectralBasis,
     cm_norm_sq,
     coefficients,
     compatibility_check,
-    decompose,
     kernel_basis,
     reconstruct,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "CalibrationResult",
     "CompatibilityReport",
     "Curve",
-    "DegenerateKernelError",
     "GS_METHODS",
     "Grid",
     "KERNEL_FAMILIES",
@@ -96,7 +93,6 @@ __all__ = [
     "compatibility_check",
     "cv_score",
     "cv_select",
-    "decompose",
     "default_mean",
     "density_log_ratio",
     "dp_audit",

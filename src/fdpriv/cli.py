@@ -36,7 +36,7 @@ from .mechanism import dp_audit, noise_energy, release_function
 from .selection import SelectionGrid, cv_score, pcv_select
 from .simulate import MEAN_NAMES, SimConfig, default_mean, kl_simulate
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
-from .spectral import DEFAULT_TRUNCATION_TOL, DegenerateKernelError, kernel_basis
+from .spectral import DEFAULT_TRUNCATION_TOL, kernel_basis
 
 SWEEP_PARAMETERS = ("phi", "rho", "kernel", "p", "epsilon", "delta", "n", "mean")
 
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except PrivacyRefusalError as exc:
         print(f"privacy refusal: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateKernelError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (CsvFormatError, ValueError, OSError, argparse.ArgumentTypeError) as exc:

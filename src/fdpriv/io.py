@@ -73,14 +73,26 @@ def read_curves_csv(path) -> tuple[Grid, np.ndarray]:
     try:
         rows = np.loadtxt(fed(), delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        expected, got = lines[0][1].count(",") + 1, at[1].count(",") + 1
-        reason = f"expected {expected} values, got {got}" if got != expected else exc
+        fields, expected = at[1].split(","), lines[0][1].count(",") + 1
+        if len(fields) != expected:
+            reason = f"expected {expected} values, got {len(fields)}"
+        else:
+            index, field = next((k, f) for k, f in enumerate(fields, start=1) if not _parses(f))
+            reason = f"field {index} is not a number: {field.strip()!r}"
         raise CsvFormatError(f"{path}: line {at[0]}: {reason}") from exc
     try:
         grid = grid_from_points(rows[0])
     except ValueError as exc:
         raise CsvFormatError(f"{path}: line {lines[0][0]}: {exc}") from exc
     return grid, rows[1:]
+
+
+def _parses(field: str) -> bool:
+    """Whether numpy's reader converts one field of a curve CSV line to a number."""
+    try:  # a blank field is not tried: np.loadtxt would skip it as a blank line, and warn
+        return bool(field.strip()) and np.loadtxt([field], delimiter=",", comments=None).size == 1
+    except ValueError:
+        return False
 
 
 def meta_path(output_path) -> str:

@@ -119,7 +119,14 @@ class Curve:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A Matern-family covariance kernel: family name plus range parameter rho."""
+    """A Matern-family covariance kernel: family name plus range parameter rho.
+
+    rho must be positive with a square that is a normal float, which puts it
+    between about 1.5e-154 and 1.3e154.  Every kernel entry is then finite.
+    Outside that range the Matern kernels' rho^2 or d^2 / rho^2 can overflow,
+    and an infinite factor times exp(-inf) = 0 makes a NaN; the Gaussian and
+    exponential kernels keep the same range.
+    """
 
     family: str
     rho: float
@@ -131,8 +138,9 @@ class KernelSpec:
                 f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}"
             )
         rho = float(self.rho)
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ValueError("kernel range parameter rho must be positive and finite")
+        if not (rho > 0.0 and np.finfo(float).tiny <= rho * rho < math.inf):
+            raise ValueError(f"kernel range parameter rho={rho} must be positive, with a square "
+                             "that is a normal float (about 1.5e-154 to 1.3e154)")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rho", rho)
 

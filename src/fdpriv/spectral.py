@@ -7,33 +7,43 @@ eigenfunctions v = W^{-1/2} u, orthonormal under the grid weights.  The
 squared Cameron-Martin norm  sum_j c_j^2 / lambda_j  of a coefficient vector
 is the quantity that controls how much Gaussian noise a release needs.
 
-``decompose`` has three routes to those eigenpairs, and all of them apply
-the same truncation and sign rules.  ``kernel_basis`` takes the same routes
-to the same basis, bit for bit, without holding the M x M Gram matrix on the
-low-rank route: it evaluates each pivot row of the kernel on its own, with
-``gram_matrix(spec, grid, rows=[p])``, and forms the whole matrix only when
-a dense route runs.
+``kernel_basis`` is the one constructor of such a basis from a kernel.  It
+takes one of three routes to the eigenpairs, tried in this order, and all
+of them apply the same truncation and sign rules.  Only the dense routes
+(split and full) form the M x M Gram matrix.
 
 * Low rank.  Smooth kernels keep few modes whatever the grid size: the
   Gaussian keeps 111 at rho = 0.001 and 39 at rho = 0.01.  On grids of at
   least _LOW_RANK_MIN_SIZE points, a greedy pivoted Cholesky factorisation
-  S ~ L L^T reads one row of S per pivot and stops at the numerical rank r,
-  once the trace of the residual certifies that no eigenvalue above the
-  truncation cut is left out (Harbrecht, Peters & Schneider, Appl. Numer.
-  Math. 2012).  A QR of the M x r factor and an r x r eigh then give the
-  eigenpairs, from O(M r) numbers.  The route gives up, and a dense route
-  takes over, once the rank would pass M / _LOW_RANK_RANK_SHARE or the trace
-  is not falling fast enough to certify within that budget: the Matern and
-  exponential kernels keep most of their modes, so they take a dense route.
+  S ~ L L^T reads one row of S per pivot, each evaluated on its own by
+  ``gram_matrix(spec, grid, rows=[p])``, so the route holds O(M r) numbers
+  (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012).  It stops at the
+  first rank r at which the trace of the residual S - L L^T, plus the
+  round-off floor eps * tr S of its downdated diagonal, is at most
+  _LOW_RANK_CUT_SHARE times min(tol, DEFAULT_TRUNCATION_TOL) times a lower
+  bound on lambda_max.  S is a covariance matrix, so that residual is
+  positive semi-definite, and Weyl's inequality bounds lambda_{r+1}(S) by
+  its trace: every mode above the cut is among the r found, and their
+  eigenvalues are those of S to within 1e-14 lambda_max plus round-off.  A
+  QR of the M x r factor and an r x r eigh then give the eigenpairs.  The
+  route gives up once r would pass the budget M / _LOW_RANK_RANK_SHARE, and
+  at a quarter and at half of that budget if the trace's decay over the last
+  half of its steps, kept up for the rest of the budget, would not reach the
+  stop: the Matern and exponential kernels keep most of their modes, so they
+  take a dense route.
 * Split.  Every kernel family is stationary, so on a grid symmetric about
   its midpoint (uniform grids, and any grid whose points and weights
-  mirror) S is centrosymmetric: J S J = S with J the exchange matrix.  Such
-  a matrix splits into two half-size symmetric problems, one for the
-  eigenvectors even under J and one for the odd ones, and ``decompose``
-  solves those two whenever S is centrosymmetric to within eigh's own
-  backward error.
-* Full.  Every other matrix (irregular grids read from CSV, handcrafted
-  Gram matrices) takes one full-size eigh.
+  mirror) S is centrosymmetric: J S J = S with J the exchange matrix.  When
+  ||S - J S J||_F <= M * eps * ||S||_F, a difference below eigh's own
+  backward error, the centrosymmetric part (S + J S J) / 2 splits into two
+  half-size symmetric problems, one for the eigenvectors even under J and
+  one for the odd ones, and only the retained eigenvectors are assembled at
+  full size.
+* Full.  Every other grid (irregular grids read from CSV) takes one
+  full-size eigh.
+
+A covariance outside the kernel families gets its basis from hand-built
+eigenpairs, as ``SpectralBasis(eigenvalues, matrix, grid)``.
 """
 
 from __future__ import annotations
@@ -49,9 +59,9 @@ from .kernels import Curve, Grid, KernelSpec, gram_matrix
 
 DEFAULT_TRUNCATION_TOL = 1e-12
 
-# The low-rank route of decompose: grids smaller than this take the dense
-# route outright, a rank above M / _LOW_RANK_RANK_SHARE sends the route back
-# to it, and the residual trace must fall to this share of the truncation cut.
+# The low-rank route: grids smaller than this take a dense route outright, a
+# rank above M / _LOW_RANK_RANK_SHARE sends the route back to one, and the
+# residual trace must fall to this share of the truncation cut.
 _LOW_RANK_MIN_SIZE = 320
 _LOW_RANK_RANK_SHARE = 4
 _LOW_RANK_CUT_SHARE = 0.01
@@ -61,20 +71,16 @@ _LOW_RANK_CUT_SHARE = 0.01
 RELEASE_COMPAT_TOL = 1e-10
 
 
-class DegenerateKernelError(ValueError):
-    """The covariance matrix has no numerically positive spectrum."""
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Retained eigenpairs of a discretized covariance operator.
 
     eigenvalues are strictly positive and non-increasing; the columns of the
     read-only (grid size, m) ``matrix`` are the eigenfunction values,
-    orthonormal in the weighted L2 inner product.  Instances may come from
-    :func:`decompose` or be handcrafted for small experiments from an
-    eigenvalue vector and such a matrix, in which case ``spec`` is usually
-    None.
+    orthonormal in the weighted L2 inner product.  Instances come from
+    :func:`kernel_basis`, or are handcrafted from an eigenvalue vector and
+    such a matrix (for a covariance outside the kernel families, or a small
+    experiment), in which case ``spec`` is usually None.
     """
 
     eigenvalues: np.ndarray
@@ -114,128 +120,58 @@ class SpectralBasis:
         return self.eigenvalues.size
 
 
-def decompose(
-    gram: np.ndarray,
-    grid: Grid,
-    tol: float = DEFAULT_TRUNCATION_TOL,
-    spec: KernelSpec | None = None,
-) -> SpectralBasis:
-    """Eigendecompose a covariance matrix on a grid.
-
-    Solves S u = lambda u with S = W^{1/2} G W^{1/2} and keeps every mode with
-    lambda > tol * lambda_max (a relative rule, so rescaling G rescales the
-    spectrum without changing what is retained).  Eigenvector signs are fixed
-    by making the first non-negligible component positive, which keeps the
-    output deterministic across linear-algebra backends.
-
-    The low-rank route comes first (see the module docstring).  It stops at
-    the first rank r at which the trace of the residual S - L L^T, plus the
-    round-off floor eps * tr S of its downdated diagonal, is at most 1 % of
-    min(tol, DEFAULT_TRUNCATION_TOL) times a lower bound on lambda_max.
-    S is a covariance
-    matrix, so that residual is positive semi-definite, and Weyl's
-    inequality bounds lambda_{r+1}(S) by its trace: every mode above the cut
-    is among the r found, and their eigenvalues are those of S to within
-    1e-14 lambda_max plus round-off.  The route is not tried on grids of
-    fewer than _LOW_RANK_MIN_SIZE points.  It gives up once r would pass
-    the budget M / _LOW_RANK_RANK_SHARE, and at a quarter and at half of
-    that budget if the trace's decay over the last half of its steps, kept
-    up for the rest of the budget, would not reach the stop.
-
-    After an abandoned or untried low-rank route, when
-    ||S - J S J||_F <= M * eps * ||S||_F (J the exchange matrix, M the grid
-    size), a difference below eigh's own backward error, the
-    centrosymmetric part (S + J S J) / 2 is solved as two half-size eigh
-    calls and only the retained eigenvectors are assembled at full size.
-    Stationary kernels on grids symmetric about their midpoint meet this
-    test; any other matrix is solved by one full-size eigh.
-
-    Raises
-    ------
-    DegenerateKernelError
-        If no eigenvalue is numerically positive.
-    """
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != (grid.size, grid.size):
-        raise ValueError("gram matrix does not match the grid size")
-    # row p of (G + G^T) / 2, the matrix the dense routes solve
-    return _eigenbasis(np.diagonal(gram), lambda p: 0.5 * (gram[p] + gram[:, p]),
-                       lambda: gram, grid, tol, spec)
-
-
 def kernel_basis(
     spec: KernelSpec, grid: Grid, tol: float = DEFAULT_TRUNCATION_TOL
 ) -> SpectralBasis:
-    """Gram matrix + decomposition in one step, recording the kernel spec.
+    """The retained eigenbasis of a kernel's covariance operator on a grid.
 
-    The basis is decompose(gram_matrix(spec, grid), grid, tol, spec=spec),
-    bit for bit, but the Gram matrix is formed only if a dense route runs.
-    The kernel has a unit diagonal and exactly symmetric rows, so the
-    low-rank route reads each pivot row from gram_matrix(spec, grid, rows=[p])
-    and holds O(M r) numbers instead of M^2.
-    """
-    return _eigenbasis(np.ones(grid.size), lambda p: gram_matrix(spec, grid, rows=[p])[0],
-                       partial(gram_matrix, spec, grid), grid, tol, spec)
-
-
-def _eigenbasis(
-    diag: np.ndarray,
-    row: Callable[[int], np.ndarray],
-    full: Callable[[], np.ndarray],
-    grid: Grid,
-    tol: float,
-    spec: KernelSpec | None,
-) -> SpectralBasis:
-    """decompose's truncation and sign rules over a symmetric G given three ways.
-
-    ``diag`` is G's diagonal, ``row(p)`` row p of G (read by the low-rank
-    route) and ``full()`` the whole matrix (called only when a dense route
-    runs).
+    Solves S u = lambda u with S = W^{1/2} G W^{1/2}, by the route the module
+    docstring describes, and keeps every mode with lambda > tol * lambda_max
+    (a relative rule, so rescaling G rescales the spectrum without changing
+    what is retained).  Eigenvector signs are fixed by making the first
+    non-negligible component positive, which keeps the output deterministic
+    across linear-algebra backends.  The basis records ``spec``.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("truncation tol must lie in (0, 1)")
     sqrt_w = np.sqrt(grid.weights)
-    evals, vectors = _low_rank_eigh(diag, row, sqrt_w, tol) or _dense_eigh(full(), sqrt_w)
-    lam_max = evals[-1]
-    if not (lam_max > 0.0):
-        raise DegenerateKernelError("degenerate kernel: no positive eigenvalues")
-    kept = np.nonzero(evals > tol * lam_max)[0][::-1]  # descending order
-    if kept.size == 0:
-        raise DegenerateKernelError("degenerate kernel: spectrum below truncation threshold")
-    lam = evals[kept]
+    evals, vectors = _low_rank_eigh(spec, grid, sqrt_w, tol) or _dense_eigh(spec, grid, sqrt_w)
+    kept = np.nonzero(evals > tol * evals[-1])[0][::-1]  # descending order
     funcs = vectors(kept) / sqrt_w[:, None]
     mags = np.abs(funcs)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)  # first True per column
     funcs *= np.where(funcs[lead, np.arange(kept.size)] < 0.0, -1.0, 1.0)
-    return SpectralBasis(lam, funcs, grid, spec)
+    return SpectralBasis(evals[kept], funcs, grid, spec)
 
 
 _Eigh = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
-def _dense_eigh(gram: np.ndarray, sqrt_w: np.ndarray) -> _Eigh:
-    """Every eigenpair of S: two half-size eigh calls if S is centrosymmetric, else one."""
-    gram = 0.5 * (gram + gram.T)
-    sym = sqrt_w[:, None] * gram * sqrt_w[None, :]
+def _dense_eigh(spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray) -> _Eigh:
+    """Every eigenpair of S, formed whole.
+
+    Two half-size eigh calls solve S if it is centrosymmetric, else one full-size call.
+    """
+    sym = sqrt_w[:, None] * gram_matrix(spec, grid) * sqrt_w[None, :]
     flipped = sym[::-1, ::-1]
-    eps = np.finfo(float).eps
-    if np.linalg.norm(sym - flipped) <= sym.shape[0] * eps * np.linalg.norm(sym):
+    if np.linalg.norm(sym - flipped) <= grid.size * np.finfo(float).eps * np.linalg.norm(sym):
         return _split_eigh(0.5 * (sym + flipped))
     evals, evecs = np.linalg.eigh(sym)
     return evals, partial(np.take, evecs, axis=1)  # the columns at given positions
 
 
 def _low_rank_eigh(
-    diag: np.ndarray, row: Callable[[int], np.ndarray], sqrt_w: np.ndarray, tol: float
+    spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray, tol: float
 ) -> _Eigh | None:
     """Eigenpairs of S ~ L L^T from a greedy pivoted Cholesky factor L, or None.
 
     Step k pivots on the largest entry p of the residual diagonal d of
-    R = S - L L^T, reads row p of S as row(p), row p of the symmetric G,
-    times the weights, appends column l_k and downdates d by
-    l_k^2, so that tr R drops by |l_k|^2.  The largest such drop is a lower
-    bound on lambda_max(S).  decompose's docstring gives the stop rule, why
-    it certifies the kept modes, and when the route gives up (None).
+    R = S - L L^T, reads row p of S as kernel row p times the weights,
+    appends column l_k and downdates d by l_k^2, so that tr R drops by
+    |l_k|^2.  The kernel's diagonal is 1, so d starts as the weights.  The
+    largest drop is a lower bound on lambda_max(S).  The module docstring
+    gives the stop rule, why it certifies the kept modes, and when the route
+    gives up (None).
 
     Scaled to a unit entry at their pivots, the columns of L have entries
     of modulus at most 1 and are well conditioned, so two Cholesky QR passes
@@ -246,10 +182,8 @@ def _low_rank_eigh(
     m = sqrt_w.size
     if m < _LOW_RANK_MIN_SIZE:
         return None
-    diag = sqrt_w * sqrt_w * diag
+    diag = sqrt_w * sqrt_w
     trace = float(diag.sum())
-    if not (trace > 0.0 and diag.min() >= 0.0):
-        return None
     budget = m // _LOW_RANK_RANK_SHARE
     resid = diag / trace  # the residual diagonal, relative to tr S
     cut = _LOW_RANK_CUT_SHARE * min(tol, DEFAULT_TRUNCATION_TOL)
@@ -264,7 +198,8 @@ def _low_rank_eigh(
             return None
         scale = scales[k] = math.sqrt(resid[p])
         col = factor[k]
-        np.multiply(row(p), row_weights * (sqrt_w[p] / scale), out=col)
+        row = gram_matrix(spec, grid, rows=[p])[0]
+        np.multiply(row, row_weights * (sqrt_w[p] / scale), out=col)
         col -= (factor[:k, p] / scale) @ factor[:k]
         resid -= col * col
         resid[p] = 0.0

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,21 @@ def test_tau_whose_square_overflows_is_config_error(tmp_path, capsys, command, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--kernel", "matern52", "--rho", "1e300"], ["--kernel", "matern52", "--rho", "1e-200"],
+     ["--kernel", "matern32", "--rho", "1e-310"], ["--rho", "1e-310"]],
+    ids=["matern52-large", "matern52-small", "matern32-subnormal", "gaussian-subnormal"],
+)
+def test_rho_whose_square_is_not_a_normal_float_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "D.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("simulate", *argv, "--output", str(out)) == 2
+    assert f"rho={float(argv[-1])} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_closed_form_bound_that_overflows_is_config_error(tmp_path, capsys):
     sample, out = tmp_path / "D.csv", tmp_path / "out.csv"
     assert run("simulate", "--n", "6", "--grid-points", "30", "--rho", "0.05",
@@ -170,7 +186,8 @@ def test_malformed_csv_exit_code_and_line_number(tmp_path, capsys):
     bad.write_text("0.0,0.5,1.0\n1.0,x,2.0\n", encoding="utf-8")
     code = run("smooth", "--input", str(bad), "--output", str(tmp_path / "o.csv"))
     assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2: field 2 is not a number: 'x'" in err and "row" not in err
     bad.write_text("", encoding="utf-8")
     assert run("smooth", "--input", str(bad), "--output", str(tmp_path / "o.csv")) == 2
     assert "need a grid row" in capsys.readouterr().err

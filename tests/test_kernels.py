@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,34 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("gaussian", 0.0)
     assert KernelSpec("Gaussian", 1.0).family == "gaussian"
+
+
+#: The least and the largest rho whose square is a normal float.
+RHO_MIN, RHO_MAX = 1.4916681462400413e-154, 1.3407807929942596e154
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_kernels_are_finite_at_both_ends_of_the_rho_range(family):
+    grid = grid_from_points([0.0, 1e-300, 1e-150, 1e-10, 0.5, 1.0])  # gaps from 1e-300 to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or a NaN in numpy warns
+        for rho in (RHO_MIN, RHO_MAX):
+            spec = KernelSpec(family, rho)
+            assert spec.rho == rho
+            gram = gram_matrix(spec, grid)
+            assert np.all((0.0 <= gram) & (gram <= 1.0))
+        assert np.all(gram_matrix(KernelSpec(family, RHO_MAX), grid) == 1.0)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [np.nextafter(RHO_MIN, 0.0), np.nextafter(RHO_MAX, math.inf), 1e-310, 1e-200, 1e300,
+     0.0, -1.0, math.nan, math.inf],
+)
+def test_kernel_spec_refuses_a_rho_whose_square_is_not_a_normal_float(rho):
+    for family in KERNEL_FAMILIES:
+        with pytest.raises(ValueError, match=re.escape(f"rho={float(rho)} must be positive")):
+            KernelSpec(family, rho)
 
 
 def _entry(spec: KernelSpec, t: float, s: float) -> float:

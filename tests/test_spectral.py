@@ -6,13 +6,11 @@ import pytest
 from fdpriv import (
     KERNEL_FAMILIES,
     Curve,
-    DegenerateKernelError,
     KernelSpec,
     SpectralBasis,
     cm_norm_sq,
     coefficients,
     compatibility_check,
-    decompose,
     gram_matrix,
     grid_from_points,
     kernel_basis,
@@ -52,7 +50,9 @@ def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
 
 def test_decompose_identity_gram_two_points():
     grid = uniform_grid(2)
-    basis = decompose(np.eye(2), grid)
+    spec = KernelSpec("exponential", 1e-3)  # exp(-1000) underflows to 0
+    assert np.array_equal(gram_matrix(spec, grid), np.eye(2))
+    basis = kernel_basis(spec, grid)
     assert np.allclose(basis.eigenvalues, [0.5, 0.5], rtol=0, atol=1e-15)
     assert basis.m == 2
     # degenerate eigenvalue: compare the span projector, not the vectors
@@ -62,7 +62,9 @@ def test_decompose_identity_gram_two_points():
 
 def test_decompose_rank_one_gram():
     grid = uniform_grid(2)
-    basis = decompose(np.ones((2, 2)), grid)
+    spec = KernelSpec("gaussian", 1e100)  # exp(-1e-100) rounds to 1
+    assert np.array_equal(gram_matrix(spec, grid), np.ones((2, 2)))
+    basis = kernel_basis(spec, grid)
     assert basis.m == 1
     assert basis.eigenvalues[0] == pytest.approx(1.0, rel=1e-14)
     assert np.allclose(basis.matrix[:, 0], [1.0, 1.0], atol=1e-12)
@@ -89,12 +91,13 @@ def test_decompose_matches_jacobi_oracle():
         while np.any(np.diff(pts) <= 0):
             pts = np.sort(rng.uniform(0, 1, m))
         grids.append(grid_from_points(pts))
-    # symmetric grids take the split route of decompose
+    # symmetric grids take the split route
     grids += [uniform_grid(m) for m in range(3, 11)]
     grids.append(symmetric_irregular_grid())
+    spec = KernelSpec("matern32", 0.3)
     for grid in grids:
-        gram = gram_matrix(KernelSpec("matern32", 0.3), grid)
-        basis = decompose(gram, grid, tol=1e-12)
+        gram = gram_matrix(spec, grid)
+        basis = kernel_basis(spec, grid, tol=1e-12)
         sqrt_w = np.sqrt(grid.weights)
         oracle = jacobi_eigenvalues(sqrt_w[:, None] * gram * sqrt_w[None, :])
         assert np.allclose(
@@ -133,9 +136,8 @@ def moved_point_grid():
     ids=["uniform-100", "uniform-101", "symmetric-irregular", "moved-point"],
 )
 def test_decompose_splits_only_centrosymmetric_matrices(monkeypatch, grid, expected):
-    gram = gram_matrix(KernelSpec("gaussian", 0.001), grid)
     shapes = record_eigh_shapes(monkeypatch)
-    decompose(gram, grid)
+    kernel_basis(KernelSpec("gaussian", 0.001), grid)
     assert shapes == expected
 
 
@@ -175,13 +177,13 @@ def test_split_route_matches_one_full_eigh(monkeypatch, family, m):
     # off here to keep checking the split route at that size.
     grid = uniform_grid(m)
     for rho in (0.001, 0.1):
-        gram = gram_matrix(KernelSpec(family, rho), grid)
+        spec = KernelSpec(family, rho)
         switch_off_low_rank_route(monkeypatch)
         shapes = record_eigh_shapes(monkeypatch)
-        basis = decompose(gram, grid)
+        basis = kernel_basis(spec, grid)
         assert max(shapes) == (m - m // 2, m - m // 2)
         monkeypatch.undo()
-        assert_matches_one_full_eigh(basis, gram, grid)
+        assert_matches_one_full_eigh(basis, gram_matrix(spec, grid), grid)
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -189,8 +191,8 @@ def test_split_route_matches_one_full_eigh(monkeypatch, family, m):
 def test_decompose_matches_one_full_eigh_on_every_route(family, m):
     grid = uniform_grid(m)
     for rho in (0.0005, 0.001, 0.01, 0.1):
-        gram = gram_matrix(KernelSpec(family, rho), grid)
-        assert_matches_one_full_eigh(decompose(gram, grid), gram, grid)
+        spec = KernelSpec(family, rho)
+        assert_matches_one_full_eigh(kernel_basis(spec, grid), gram_matrix(spec, grid), grid)
 
 
 def jittered_grid(m):
@@ -216,9 +218,8 @@ def jittered_grid(m):
 def test_low_rank_route_is_taken_only_for_fast_decaying_spectra(
     monkeypatch, family, grid, dense_shapes
 ):
-    gram = gram_matrix(KernelSpec(family, 0.001), grid)
     shapes = record_eigh_shapes(monkeypatch)
-    basis = decompose(gram, grid)
+    basis = kernel_basis(KernelSpec(family, 0.001), grid)
     if dense_shapes is None:  # one r x r eigh, r between the kept count and M / 4
         (r, r2), = shapes
         assert r == r2 and basis.m <= r <= grid.size // 4
@@ -231,37 +232,33 @@ def test_low_rank_route_is_taken_only_for_fast_decaying_spectra(
 def test_cli_sized_bases_keep_the_split_route(monkeypatch, family, rho):
     # The 100-point default grid is below the low-rank route's minimum size,
     # so its bases, and every output built on them, are those of the split route.
-    grid = uniform_grid(100)
-    gram = gram_matrix(KernelSpec(family, rho), grid)
     shapes = record_eigh_shapes(monkeypatch)
-    decompose(gram, grid)
+    kernel_basis(KernelSpec(family, rho), uniform_grid(100))
     assert shapes == [(50, 50), (50, 50)]
 
 
 def test_low_rank_route_falls_back_when_tol_is_below_its_round_off_floor(monkeypatch):
     # At tol = 1e-15 the stop would need a residual trace of 1e-17 lam_max,
     # below the round-off floor eps * tr S of the downdated diagonal.
-    grid = uniform_grid(1000)
-    gram = gram_matrix(KernelSpec("gaussian", 0.001), grid)
     shapes = record_eigh_shapes(monkeypatch)
-    decompose(gram, grid, tol=1e-15)
+    kernel_basis(KernelSpec("gaussian", 0.001), uniform_grid(1000), tol=1e-15)
     assert shapes == [(500, 500), (500, 500)]
 
 
 def test_low_rank_route_at_a_coarse_cut_keeps_the_dense_modes(monkeypatch):
     grid = uniform_grid(1000)
-    gram = gram_matrix(KernelSpec("gaussian", 0.001), grid)
+    spec = KernelSpec("gaussian", 0.001)
     shapes = record_eigh_shapes(monkeypatch)
-    basis = decompose(gram, grid, tol=0.5)
+    basis = kernel_basis(spec, grid, tol=0.5)
     (r, _), = shapes
     assert r < grid.size // 4
     monkeypatch.undo()
     switch_off_low_rank_route(monkeypatch)
-    dense = decompose(gram, grid, tol=0.5)
+    dense = kernel_basis(spec, grid, tol=0.5)
     assert basis.m == dense.m
     assert np.abs(basis.eigenvalues - dense.eigenvalues).max() <= 1e-13 * dense.eigenvalues[0]
     assert np.abs(basis.matrix - dense.matrix).max() <= 1e-8
-    assert_matches_one_full_eigh(basis, gram, grid, tol=0.5)
+    assert_matches_one_full_eigh(basis, gram_matrix(spec, grid), grid, tol=0.5)
 
 
 @pytest.mark.parametrize(
@@ -289,8 +286,11 @@ def test_kernel_basis_equals_decompose_of_the_gram_matrix_bit_for_bit(
         assert r <= m // 4
     else:
         assert shapes == ([(m - h, m - h), (h, h)] if route == "split" else [(m, m)])
-    dense = decompose(gram_matrix(spec, grid), grid, spec=spec)
-    assert basis.spec == dense.spec == spec
+    assert basis.spec == spec
+    gram = gram_matrix(spec, grid)  # every route reads its kernel rows from this matrix
+    monkeypatch.setattr(spectral, "gram_matrix",
+                        lambda spec, grid, rows=None: gram if rows is None else gram[rows])
+    dense = kernel_basis(spec, grid)
     assert np.array_equal(basis.eigenvalues.view(np.uint64), dense.eigenvalues.view(np.uint64))
     assert np.array_equal(basis.matrix.view(np.uint64), dense.matrix.view(np.uint64))
 
@@ -340,16 +340,9 @@ def test_decompose_eigenfunctions_orthonormal(default_basis):
     assert np.abs(overlap - np.eye(default_basis.m)).max() <= 1e-8
 
 
-def test_decompose_rejects_degenerate():
-    grid = uniform_grid(3)
-    with pytest.raises(DegenerateKernelError):
-        decompose(np.zeros((3, 3)), grid)
-
-
 def test_decompose_sign_convention(default_basis):
     grid = uniform_grid(5)
-    gram = gram_matrix(KernelSpec("gaussian", 0.1), grid)
-    for basis in (decompose(gram, grid), default_basis):
+    for basis in (kernel_basis(KernelSpec("gaussian", 0.1), grid), default_basis):
         for j in range(basis.m):
             col = basis.matrix[:, j]
             lead = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0][0]
