@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _to_float
 from .smoothing import SmootherConfig, shrinkage_factors
 from .spectral import SpectralBasis
 
@@ -52,9 +53,10 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+        epsilon = _to_float(self.epsilon, "epsilon")
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
             raise ValueError("epsilon must be positive")
-        if self.epsilon > 1.0:
+        if epsilon > 1.0:
             raise PrivacyRefusalError(
                 "epsilon must be at most 1: the Gaussian mechanism used here "
                 "carries no guarantee beyond epsilon = 1"
@@ -81,17 +83,23 @@ class CalibrationResult:
     delta: float
 
 
-def _validate_gs_args(phi: float, eta: float, tau: float, n: int) -> tuple[SmootherConfig, float]:
-    """The smoother (phi, eta) and tau^2; refuses bad inputs and a tau whose square overflows."""
+def _validate_gs_args(phi: float, eta: float, tau: float,
+                      n: int) -> tuple[SmootherConfig, float, float]:
+    """The smoother (phi, eta), tau^2 and n^2 as a float (inf past the float range).
+
+    Refuses bad inputs and a tau whose square overflows.
+    """
     cfg = SmootherConfig(phi, eta)
+    tau = _to_float(tau, "tau")
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError("tau must be non-negative")
     tau_sq = tau * tau
     if not math.isfinite(tau_sq):
         raise ValueError(f"tau={tau} is too large: its square overflows")
-    if n < 1:
+    n = _to_float(n, "n")
+    if not n >= 1:
         raise ValueError("sample size must be at least 1")
-    return cfg, tau_sq
+    return cfg, tau_sq, n * n
 
 
 def gs_exact_bound(
@@ -104,9 +112,9 @@ def gs_exact_bound(
     lambda_j^(2 eta - 1) / (lambda_j^eta + phi)^2, but that ratio of powers
     underflows to 0/0 or 0 at large eta and tiny phi, where this one need not.
     """
-    cfg, tau_sq = _validate_gs_args(phi, eta, tau, n)
+    cfg, tau_sq, n_sq = _validate_gs_args(phi, eta, tau, n)
     s = shrinkage_factors(basis, cfg)
-    return 4.0 * tau_sq / n**2 * float(np.max(s * s / basis.eigenvalues))
+    return 4.0 * tau_sq / n_sq * float(np.max(s * s / basis.eigenvalues))
 
 
 def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
@@ -117,11 +125,11 @@ def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
     4 tau^2 / (N^2 phi^(1/eta)).  Inputs at which this expression is not a
     finite float, such as an eta whose square overflows, are refused.
     """
-    _, tau_sq = _validate_gs_args(phi, eta, tau, n)
+    _, tau_sq, n_sq = _validate_gs_args(phi, eta, tau, n)
     try:
         bound = (
             tau_sq
-            / (n**2 * phi ** (1.0 / eta))
+            / (n_sq * phi ** (1.0 / eta))
             * (2.0 * eta - 1.0) ** (2.0 - 1.0 / eta)
             / eta**2
         )

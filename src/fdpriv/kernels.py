@@ -14,6 +14,19 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
 
+def _to_float(value, name: str) -> float:
+    """float(value), refusing an integer too large for a float with a ValueError naming it.
+
+    Every scalar parameter a constructor or entry point converts to a float
+    goes through here, so such an integer is refused like any other
+    out-of-range value instead of escaping as an OverflowError.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to be represented as a float") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Discretization of [0, 1] with quadrature weights.
@@ -137,7 +150,7 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}"
             )
-        rho = float(self.rho)
+        rho = _to_float(self.rho, "rho")
         if not (rho > 0.0 and np.finfo(float).tiny <= rho * rho < math.inf):
             raise ValueError(f"kernel range parameter rho={rho} must be positive, with a square "
                              "that is a normal float (about 1.5e-154 to 1.3e154)")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calibration import CalibrationResult, PrivacyBudget, PrivacyRefusalError, noise_scale
-from .kernels import Curve
+from .kernels import Curve, _to_float
 from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check, reconstruct
 from .rng import audit_streams, make_rng
 
@@ -120,7 +120,8 @@ def _loss_line(
 
 def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
     """Refuse a noise variance that is NaN, infinite, negative, or zero unless zero_ok."""
-    if not math.isfinite(sigma_sq) or sigma_sq < 0.0 or (sigma_sq == 0.0 and not zero_ok):
+    value = _to_float(sigma_sq, "sigma_sq")
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not zero_ok):
         bound = "non-negative" if zero_ok else "positive"
         raise ValueError(f"sigma_sq must be finite and {bound}, got {sigma_sq}")
 
@@ -224,7 +225,7 @@ def dp_audit(
     count or the block size.  Releases keep the Philox stream
     ``make_rng(seed)`` itself, not these child streams.
     """
-    if not float(n_samples).is_integer():
+    if not _to_float(n_samples, "n_samples").is_integer():
         raise ValueError(f"n_samples must be a whole number, got {n_samples}")
     n_samples = int(n_samples)
     if n_samples < _AUDIT_MIN_SAMPLES:

@@ -8,7 +8,13 @@ so the noise cost enters the selection.
 
 Each range parameter rho gets one spectral basis, and a whole column of
 penalties phi is scored against it: per fold the training complement is
-built once and fitted with :func:`penalized_mean` at every phi.
+built once, its mean computed once (``SampleSet.mean``), and fitted with
+:func:`penalized_mean` at every phi.  Private CV calibrates each phi once per
+distinct calibration input (tau, n), not once per fold.  The folds take at
+most two sizes, and a derived tau is the sample's largest norm in every
+training set but the one that holds out the largest-norm curve, so a call
+makes at most 3 calibrations per phi, at most 2 with a stated tau and
+exactly 1 with ``calibrate_on_full_n``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PrivacyBudget, calibrate
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _to_float
 from .mechanism import noise_energy
 from .rng import make_rng
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
@@ -29,7 +35,7 @@ from .spectral import DEFAULT_TRUNCATION_TOL, kernel_basis
 
 def _check_folds(folds) -> None:
     """Refuse a fold count that is not a whole number of at least two."""
-    if not float(folds).is_integer():
+    if not _to_float(folds, "folds").is_integer():
         raise ValueError(f"fold count must be a whole number, got {folds}")
     if folds < 2:
         raise ValueError("need at least two folds")
@@ -44,8 +50,8 @@ class SelectionGrid:
     folds: int = 10
 
     def __post_init__(self):
-        phi = tuple(float(v) for v in self.phi_values)
-        rho = tuple(float(v) for v in self.rho_values)
+        phi = tuple(_to_float(v, "phi") for v in self.phi_values)
+        rho = tuple(_to_float(v, "rho") for v in self.rho_values)
         for name, grid in (("phi", phi), ("rho", rho)):
             if len(grid) == 0:
                 raise ValueError(f"{name} grid must be non-empty")
@@ -69,10 +75,10 @@ def fold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 def _smoothers(phi, eta: float) -> list[SmootherConfig]:
     """One validated smoother per penalty; phi is a float or a non-empty 1-D sequence."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    phis = np.atleast_1d(np.asarray(phi))
     if phis.ndim != 1 or phis.size == 0:
         raise ValueError("phi must be a float or a non-empty 1-D sequence of floats")
-    return [SmootherConfig(float(p), eta) for p in phis]
+    return [SmootherConfig(p, eta) for p in phis]
 
 
 def cv_score(
@@ -104,7 +110,7 @@ def cv_select(
     Candidates are scanned in increasing order and ties resolve to the
     smallest rho; each candidate derives its own spectral basis.
     """
-    rho_values = sorted(float(r) for r in rho_grid)
+    rho_values = sorted(_to_float(r, "rho") for r in rho_grid)
     if not rho_values:
         raise ValueError("rho grid must be non-empty")
     scores = [cv_score(data, KernelSpec(family, rho), phi_fixed, eta, folds, seed)
@@ -133,7 +139,8 @@ def pcv_score(
     data, or the training curves' largest norm when data's tau was derived
     from its curves), matching what an analyst fitting on those curves would
     have to add; calibrate_on_full_n switches to calibrating with the full
-    sample size and tau instead.  seed fixes the folds.  phi is a float
+    sample size and tau instead.  Folds that share that (tau, n) share one
+    calibration per phi.  seed fixes the folds.  phi is a float
     (float score) or a 1-D sequence (array of scores), all scored from one
     spectral basis.
     """
@@ -141,6 +148,7 @@ def pcv_score(
     cfgs = _smoothers(phi, eta)
     parts = fold_partition(data.n, folds, seed)
     total = np.zeros(len(cfgs))
+    energies = {}  # (tau, n) calibrated at -> noise energy per phi
     for k, held_idx in enumerate(parts):
         train = data.subset(np.concatenate([p for i, p in enumerate(parts) if i != k]))
         fits = np.stack([penalized_mean(train, basis, cfg).values for cfg in cfgs])
@@ -148,11 +156,12 @@ def pcv_score(
         errors = data.grid.norm_sq(fits[:, None, :] - data.values[held_idx]).mean(axis=1)
         if budget is not None:
             calibrated_on = data if calibrate_on_full_n else train
-            errors += [
-                noise_energy(basis, calibrate(basis, cfg.phi, eta, calibrated_on.tau,
-                                              calibrated_on.n, budget).sigma_sq)
-                for cfg in cfgs
-            ]
+            key = (calibrated_on.tau, calibrated_on.n)
+            if key not in energies:
+                energies[key] = [noise_energy(basis, calibrate(basis, cfg.phi, eta, *key,
+                                                               budget).sigma_sq)
+                                 for cfg in cfgs]
+            errors += energies[key]
         total += errors
     scores = total / folds
     return float(scores[0]) if np.ndim(phi) == 0 else scores

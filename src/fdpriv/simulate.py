@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Curve, Grid
+from .kernels import Curve, Grid, _to_float
 from .rng import make_rng
 from .smoothing import SampleSet
 from .spectral import SpectralBasis
@@ -32,17 +32,20 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not float(self.n).is_integer():
+        if not _to_float(self.n, "n").is_integer():
             raise ValueError(f"sample size must be a whole number, got {self.n}")
         if self.n < 1:
             raise ValueError("sample size must be at least 1")
-        if not (math.isfinite(self.p) and self.p > 1.0):
+        p, halfwidth = _to_float(self.p, "p"), _to_float(self.score_halfwidth, "score_halfwidth")
+        if not (math.isfinite(p) and p > 1.0):
             raise ValueError("score decay exponent p must be strictly larger than 1")
-        if not (math.isfinite(self.score_halfwidth) and self.score_halfwidth > 0.0):
+        if not (math.isfinite(halfwidth) and halfwidth > 0.0):
             raise ValueError("score halfwidth must be positive")
         if isinstance(self.mean, str) and self.mean not in MEAN_NAMES:
             raise ValueError(f"unknown mean name {self.mean!r}; choose from {MEAN_NAMES}")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "score_halfwidth", halfwidth)
 
 
 def default_mean(name: str, grid: Grid) -> Curve:

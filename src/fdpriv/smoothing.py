@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .kernels import Curve, Grid
+from .kernels import Curve, Grid, _to_float
 from .spectral import SpectralBasis, coefficients, reconstruct
 
 
@@ -26,10 +27,13 @@ class SmootherConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi) and self.phi > 0.0):
+        phi, eta = _to_float(self.phi, "phi"), _to_float(self.eta, "eta")
+        if not (math.isfinite(phi) and phi > 0.0):
             raise ValueError("penalty phi must be positive and finite")
-        if not (math.isfinite(self.eta) and self.eta >= 1.0):
+        if not (math.isfinite(eta) and eta >= 1.0):
             raise ValueError("penalty exponent eta must be at least 1")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "eta", eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +47,9 @@ class SampleSet:
     recomputed from the data as the largest realized norm, which is itself
     mildly disclosive; pass an explicit tau to bound the data a priori
     instead.  Nonzero curves whose norms underflow to a tau of 0 are refused.
+    The mean curve ``mean`` is computed on first access and kept, so every
+    fit of one set, such as a cross-validation fold's training set scored at
+    several penalties, reads the same mean.
     """
 
     values: np.ndarray
@@ -63,7 +70,7 @@ class SampleSet:
         if not np.all(np.isfinite(values)):
             raise ValueError("curve values must be finite")
         norms = np.sqrt(self.grid.norm_sq(values))
-        tau = float(norms.max()) if self.tau is None else float(self.tau)
+        tau = float(norms.max()) if self.tau is None else _to_float(self.tau, "tau")
         if not (math.isfinite(tau) and tau >= 0.0):
             raise ValueError("tau must be a finite non-negative bound")
         if norms.max() > tau:
@@ -93,6 +100,11 @@ class SampleSet:
     def n(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def mean(self) -> Curve:
+        """The pointwise sample mean of the curves, computed once per set."""
+        return Curve(self.values.mean(axis=0), self.grid)
+
 
 def shrinkage_factors(basis: SpectralBasis, cfg: SmootherConfig) -> np.ndarray:
     """Per-mode filter lambda_j^eta / (lambda_j^eta + phi) in (0, 1)."""
@@ -108,5 +120,4 @@ def penalized_mean(data: SampleSet, basis: SpectralBasis, cfg: SmootherConfig) -
     """
     if not data.grid.matches(basis.grid):
         raise ValueError("data grid does not match the basis grid")
-    xbar = Curve(data.values.mean(axis=0), data.grid)
-    return reconstruct(shrinkage_factors(basis, cfg) * coefficients(xbar, basis), basis)
+    return reconstruct(shrinkage_factors(basis, cfg) * coefficients(data.mean, basis), basis)

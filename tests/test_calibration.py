@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fdpriv import (
+    GS_METHODS,
     KernelSpec,
     PrivacyBudget,
     PrivacyRefusalError,
@@ -48,6 +49,8 @@ def test_budget_validation():
         with pytest.raises(ValueError, match=f"epsilon={epsilon} and delta={delta}"):
             PrivacyBudget(epsilon, delta)
     PrivacyBudget(1e-150, 0.1)  # the multiplier is large but finite
+    with pytest.raises(ValueError, match="epsilon is too large to be represented as a float"):
+        PrivacyBudget(10**400, 0.1)
 
 
 def test_gs_exact_single_eigenvalue():
@@ -219,6 +222,11 @@ def test_projection_quadratic_form_equality_for_full_rank():
     (0.1, 1.0, -1.0, 5, "tau"),
     (0.1, 1.0, math.nan, 5, "tau"),
     (0.1, 1.0, 1.0, 0, "sample size"),
+    (0.1, 1.0, 1.0, math.nan, "sample size"),
+    (10**400, 1.0, 1.0, 5, "phi is too large to be represented"),
+    (0.1, 10**400, 1.0, 5, "eta is too large to be represented"),
+    (0.1, 1.0, 10**400, 5, "tau is too large to be represented"),
+    (0.1, 1.0, 1.0, 10**400, "n is too large to be represented"),
     (0.1, 1.0, 1e200, 5, r"tau=1e\+200 is too large"),
 ])
 @pytest.mark.parametrize("bound", [
@@ -229,6 +237,13 @@ def test_projection_quadratic_form_equality_for_full_rank():
 def test_sensitivity_inputs_are_refused(bound, phi, eta, tau, n, match):
     with pytest.raises(ValueError, match=match):
         bound(phi, eta, tau, n)
+
+
+@pytest.mark.parametrize("method", GS_METHODS)
+def test_sample_size_whose_square_overflows_is_a_zero_noise_refusal(method):
+    # N^2 is inf, so either bound is 0: the release would carry no noise
+    with pytest.raises(PrivacyRefusalError, match="underflows to zero noise"):
+        calibrate(toy_basis(), 0.1, 1.0, 1.0, 10**200, PrivacyBudget(1.0, 0.1), method)
 
 
 @pytest.mark.parametrize("phi,eta,tau", [

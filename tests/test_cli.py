@@ -171,6 +171,23 @@ def test_rho_whose_square_is_not_a_normal_float_is_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,option,name", [
+    ("simulate", "--n", "n"), ("cv", "--folds", "folds"), ("audit", "--samples", "n_samples"),
+])
+def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys, command, option,
+                                                       name):
+    sample, out = tmp_path / "D.csv", tmp_path / "out.txt"
+    assert run("simulate", "--n", "6", "--grid-points", "30", "--output", str(sample)) == 0
+    theta = tmp_path / "theta.csv"
+    assert run("smooth", "--input", str(sample), "--output", str(theta)) == 0
+    inputs = {"simulate": [], "cv": ["--input", str(sample), "--rho-grid", "0.001"],
+              "audit": ["--theta-d", str(theta), "--theta-dp", str(theta)]}[command]
+    capsys.readouterr()
+    assert run(command, *inputs, option, "1" + "0" * 400, "--output", str(out)) == 2
+    assert f"{name} is too large to be represented as a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_closed_form_bound_that_overflows_is_config_error(tmp_path, capsys):
     sample, out = tmp_path / "D.csv", tmp_path / "out.csv"
     assert run("simulate", "--n", "6", "--grid-points", "30", "--rho", "0.05",

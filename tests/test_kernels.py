@@ -126,6 +126,11 @@ def test_kernel_spec_refuses_a_rho_whose_square_is_not_a_normal_float(rho):
             KernelSpec(family, rho)
 
 
+def test_kernel_spec_refuses_an_integer_too_large_for_a_float():
+    with pytest.raises(ValueError, match="rho is too large to be represented as a float"):
+        KernelSpec("gaussian", 10**400)
+
+
 def _entry(spec: KernelSpec, t: float, s: float) -> float:
     """C(t, s) read off the Gram matrix of the two-point grid {t, s}."""
     return gram_matrix(spec, grid_from_points([t, s]))[0, 1]

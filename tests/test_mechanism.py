@@ -222,6 +222,17 @@ def test_dp_audit_equal_pair_passes_with_zero_rate():
     assert report.passed and not report.undercalibrated
 
 
+@pytest.mark.parametrize("kwargs,name", [(dict(n_samples=10**400), "n_samples"),
+                                         (dict(sigma_sq=10**400), "sigma_sq")],
+                         ids=["n_samples", "sigma_sq"])
+def test_dp_audit_refuses_an_integer_too_large_for_a_float(kwargs, name):
+    basis = toy_basis()
+    theta_d = reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis)
+    theta_dp = reconstruct(np.array([-0.4, 0.0, 0.0, 0.0, 0.0]), basis)
+    with pytest.raises(ValueError, match=f"{name} is too large to be represented as a float"):
+        dp_audit(theta_d, theta_dp, basis, BUDGET, **kwargs)
+
+
 def test_dp_audit_calibrated_passes_and_undercalibrated_fails():
     basis = toy_basis()
     rng = np.random.default_rng(55)

@@ -18,8 +18,11 @@ from fdpriv import (
     fold_partition,
     kernel_basis,
     kl_simulate,
+    noise_energy,
     pcv_score,
     pcv_select,
+    penalized_mean,
+    SmootherConfig,
     uniform_grid,
 )
 from oracles import pcv_score_coefficient_space
@@ -404,3 +407,79 @@ def test_pcv_select_pick_matches_oracle_on_check_set(default_basis, seed,
 @pytest.mark.parametrize("function", [cv_score, cv_select, pcv_select])
 def test_selection_takes_the_default_basis_truncation(function):
     assert "tol" not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: SelectionGrid((10**400,), (0.1,)), "phi"),
+    (lambda: SelectionGrid((0.1,), (10**400,)), "rho"),
+    (lambda: SelectionGrid((0.1,), (0.1,), 10**400), "folds"),
+    (lambda: fold_partition(10, 10**400, 0), "folds"),
+    (lambda: cv_select(_rough_sample(), "gaussian", 0.1, [10**400]), "rho"),
+    (lambda: cv_score(_rough_sample(), KernelSpec("gaussian", 0.05), [0.1, 10**400]), "phi"),
+], ids=["grid-phi", "grid-rho", "grid-folds", "fold_partition", "cv_select", "cv_score"])
+def test_integers_too_large_for_a_float_are_refused(call, name):
+    with pytest.raises(ValueError, match=f"{name} is too large to be represented as a float"):
+        call()
+
+
+def _counting_calibrate(monkeypatch) -> list:
+    """Record the (tau, n) of every calibration that selection makes."""
+    calls = []
+    original = fdpriv.selection.calibrate
+
+    def counting(basis, phi, eta, tau, n, budget):
+        calls.append((tau, n))
+        return original(basis, phi, eta, tau, n, budget)
+
+    monkeypatch.setattr(fdpriv.selection, "calibrate", counting)
+    return calls
+
+
+def _per_fold_pcv(data, spec, phis, eta, budget, folds, seed, calibrate_on_full_n):
+    """Private CV scores from a loop that calibrates every (fold, phi) afresh."""
+    basis = kernel_basis(spec, data.grid)
+    cfgs = [SmootherConfig(phi, eta) for phi in phis]
+    parts = fold_partition(data.n, folds, seed)
+    total = np.zeros(len(cfgs))
+    for k, held_idx in enumerate(parts):
+        train = data.subset(np.concatenate([p for i, p in enumerate(parts) if i != k]))
+        fits = np.stack([penalized_mean(train, basis, cfg).values for cfg in cfgs])
+        errors = data.grid.norm_sq(fits[:, None, :] - data.values[held_idx]).mean(axis=1)
+        on = data if calibrate_on_full_n else train
+        errors += [noise_energy(basis, calibrate(basis, cfg.phi, eta, on.tau, on.n,
+                                                 budget).sigma_sq) for cfg in cfgs]
+        total += errors
+    return total / folds
+
+
+def test_pcv_select_calibrates_once_per_distinct_tau_and_n(default_basis, monkeypatch):
+    # M = 100, n = 200, a 4 x 3 grid and 10 folds of 20 curves: every training
+    # set has 180 curves, and all but one share the sample's largest norm
+    calls = _counting_calibrate(monkeypatch)
+    data = kl_simulate(SimConfig(200, seed=1), default_basis)
+    sel = SelectionGrid(CHECK_PHIS, CHECK_RHOS, folds=10)
+    pcv_select(data, "gaussian", sel, 1.0, BUDGET, seed=1)
+    assert len(calls) == 2 * len(CHECK_PHIS) * len(CHECK_RHOS) == 24
+    assert set(calls) == {(data.tau, 180), (sorted(calls)[0][0], 180)}
+    assert sorted(calls)[0][0] < data.tau
+
+
+@pytest.mark.parametrize("eta", (1.0, 1.5))
+@pytest.mark.parametrize("tau,calibrate_on_full_n,keys", [
+    (None, False, 3), (3.0, False, 2), (None, True, 1), (3.0, True, 1),
+], ids=["derived", "stated", "derived-full-n", "stated-full-n"])
+def test_pcv_score_calibrates_each_phi_once_per_key(monkeypatch, tau, calibrate_on_full_n, keys,
+                                                     eta):
+    # 37 curves in 4 folds: training sets of 27 and 28 curves, and at fold
+    # seed 1 the largest-norm curve is held out from one of the 28, so a
+    # derived tau takes the keys (tau_max, 27), (tau_max, 28), (tau_2nd, 28)
+    rough = _rough_sample(n=37, seed=13)
+    data = SampleSet(rough.values, rough.grid, tau)
+    spec, phis, folds, seed = KernelSpec("matern52", 0.1), (1e-3, 0.02, 0.5), 4, 1
+    want = _per_fold_pcv(data, spec, phis, eta, BUDGET, folds, seed, calibrate_on_full_n)
+    calls = _counting_calibrate(monkeypatch)
+    got = pcv_score(data, spec, phis, eta, BUDGET, folds, seed, calibrate_on_full_n)
+    assert len(set(calls)) == keys and len(calls) == keys * len(phis)
+    if calibrate_on_full_n:
+        assert set(calls) == {(data.tau, data.n)}
+    assert np.all(got == want)  # bit for bit: the fold sum keeps its order

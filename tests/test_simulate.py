@@ -25,6 +25,10 @@ def test_sim_config_validation():
         SimConfig(5, score_halfwidth=0.0)
     with pytest.raises(ValueError):
         SimConfig(5, mean="ramp")
+    for name, kwargs in (("n", dict(n=10**400)), ("p", dict(n=5, p=10**400)),
+                         ("score_halfwidth", dict(n=5, score_halfwidth=10**400))):
+        with pytest.raises(ValueError, match=f"{name} is too large to be represented as a float"):
+            SimConfig(**kwargs)
 
 
 def test_sim_config_refuses_custom_mean_name():

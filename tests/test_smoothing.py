@@ -15,6 +15,7 @@ from fdpriv import (
     kernel_basis,
     kl_simulate,
     penalized_mean,
+    reconstruct,
     shrinkage_factors,
     uniform_grid,
 )
@@ -28,6 +29,16 @@ def test_smoother_config_validation():
         SmootherConfig(0.0)
     with pytest.raises(ValueError):
         SmootherConfig(0.1, eta=0.9)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: SmootherConfig(10**400), "phi"),
+    (lambda: SmootherConfig(0.1, 10**400), "eta"),
+    (lambda: SampleSet(np.zeros((2, 5)), uniform_grid(5), tau=10**400), "tau"),
+], ids=["phi", "eta", "tau"])
+def test_integers_too_large_for_a_float_are_refused(build, name):
+    with pytest.raises(ValueError, match=f"{name} is too large to be represented as a float"):
+        build()
 
 
 def test_sample_set_tau_from_data():
@@ -102,6 +113,33 @@ def test_sample_set_from_values_validates_rows():
         SampleSet.from_values(values, grid, tau=0.5 * max(norms))
     with pytest.raises(ValueError):  # no rows
         SampleSet.from_values(np.empty((0, 8)), grid)
+
+
+def test_sample_set_mean_is_computed_once_and_read_only():
+    data = kl_simulate(SimConfig(37, seed=3), toy_basis())
+    mean = data.mean
+    assert isinstance(mean, Curve) and mean.grid is data.grid
+    assert mean.values.tobytes() == data.values.mean(axis=0).tobytes()
+    assert data.mean is mean  # the same object on every access
+    assert not mean.values.flags.writeable
+    with pytest.raises(AttributeError):
+        data.mean = mean
+    # a subset has its own mean, not its parent's
+    part = data.subset([0, 5, 7])
+    assert part.mean.values.tobytes() == data.values[[0, 5, 7]].mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("spec", [None, KernelSpec("gaussian", 0.01), KernelSpec("matern52", 0.1)],
+                         ids=["toy", "gaussian", "matern52"])
+def test_penalized_mean_is_bitwise_the_filtered_sample_mean(spec):
+    basis = toy_basis() if spec is None else kernel_basis(spec, uniform_grid(40))
+    data = kl_simulate(SimConfig(29, seed=4), basis)
+    xbar = Curve(data.values.mean(axis=0), data.grid)
+    for phi in (1e-4, 0.01, 1.0):
+        for eta in (1.0, 1.5):
+            cfg = SmootherConfig(phi, eta)
+            want = reconstruct(shrinkage_factors(basis, cfg) * coefficients(xbar, basis), basis)
+            assert penalized_mean(data, basis, cfg).values.tobytes() == want.values.tobytes()
 
 
 def test_penalized_mean_single_mode_closed_form():
