@@ -27,6 +27,15 @@ def _to_float(value, name: str) -> float:
         raise ValueError(f"{name} is too large to be represented as a float") from None
 
 
+def _to_float_array(values, name: str) -> np.ndarray:
+    """A float copy of an array argument, refusing an entry too large for a float
+    with a ValueError naming the argument, as ``_to_float`` does for scalars."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry too large to be represented as a float") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Discretization of [0, 1] with quadrature weights.
@@ -40,8 +49,8 @@ class Grid:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        points = _to_float_array(self.points, "points")
+        weights = _to_float_array(self.weights, "weights")
         if points.ndim != 1 or points.size < 2:
             raise ValueError("grid needs at least two points")
         if weights.shape != points.shape:
@@ -115,7 +124,7 @@ class Curve:
     grid: Grid
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _to_float_array(self.values, "values")
         if values.shape != (self.grid.size,):
             raise ValueError(
                 f"curve has {values.size} values for a {self.grid.size}-point grid"

@@ -7,13 +7,14 @@ release_function is the only release: point values, projections, norms and
 derivatives of the released curve are post-processing and keep its
 guarantee.  The auditor replays the privacy argument numerically: under the
 distribution induced by one dataset, the log density ratio against an
-adjacent dataset may exceed epsilon with probability at most delta.
+adjacent dataset may exceed epsilon with probability at most delta.  That
+ratio is a line in the noise draw, so the auditor samples it in one
+dimension instead of drawing releases.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -21,18 +22,13 @@ import numpy as np
 from .calibration import CalibrationResult, PrivacyBudget, PrivacyRefusalError, noise_scale
 from .kernels import Curve, _to_float
 from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check, reconstruct
-from .rng import audit_streams, make_rng
+from .rng import make_rng
 
 _AUDIT_MIN_SAMPLES = 10_000
-# Standard normals per audit chunk: chunk k draws max(1, 2**20 // m) noise
-# vectors from child stream k and scores each twice, so this constant fixes
-# the stream layout, and with it every report.  It fixes nothing else;
-# the block below bounds memory.
-_AUDIT_CHUNK_VALUES = 1 << 20
-# Values per block buffer (1 MB of float64): a chunk is drawn and scored block
-# by block through one reused buffer of noise draws, so a worker's memory
-# does not grow with n_samples.  Consecutive fills of one Generator give the
-# values of a single fill, so the block size changes no report.
+# Standard normals per block (1 MB of float64): the audit draws and scores its
+# losses block by block through one reused buffer, so its memory does not grow
+# with n_samples.  Consecutive fills of one Generator give the values of a
+# single fill, so the block size changes no report.
 _AUDIT_BLOCK_VALUES = 1 << 17
 
 
@@ -64,6 +60,8 @@ class SanitizedRelease:
 class AuditReport:
     """Empirical check of the (epsilon, delta) tail bound by Monte Carlo.
 
+    empirical_violation_rate is the share of n_samples privacy losses above
+    epsilon, drawn by ``dp_audit`` as mirrored pairs mu + t and mu - t.
     mc_stderr is sqrt(rate * (1 - rate) / n_samples), the standard error of
     n_samples independent tail indicators, and an upper bound on the standard
     error of the audit's mirrored pairs.  A pair scores the losses mu + t and
@@ -124,13 +122,6 @@ def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
     if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not zero_ok):
         bound = "non-negative" if zero_ok else "positive"
         raise ValueError(f"sigma_sq must be finite and {bound}, got {sigma_sq}")
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the OS reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
@@ -206,24 +197,21 @@ def dp_audit(
     direction.
 
     The log density ratio at the release cd + z is the loss line mu + t,
-    t = z . slope (``_loss_line``), so no release is formed: each noise draw
-    z = sigma * sqrt(lambda) * xi, made through the release's noise path, is
-    scored by t alone.  z and -z are equally likely, so each draw also scores
-    the mirrored release cd - z as the loss mu - t, which halves the normals
-    per sample and keeps the rate unbiased (the AuditReport docstring shows
-    why mc_stderr stays an upper bound).  ceil(n_samples / 2) draws are made
-    and the first floor(n_samples / 2) are mirrored, so at odd n_samples an
-    audit at n_samples + 1 scores the same draws plus one mirror.
+    t = z . slope (``_loss_line``).  For the release's noise
+    z = sigma * sqrt(lambda) * xi, t is exactly N(0, 2 mu), so the audit
+    forms no release and no noise vector: it draws t itself, sqrt(2 mu)
+    times a standard normal.  t and -t are equally likely, so each draw is
+    scored as the two losses mu + t and mu - t (the releases cd + z and
+    cd - z), which halves the normals per sample and keeps the rate unbiased
+    (the AuditReport docstring shows why mc_stderr stays an upper bound).
+    ceil(n_samples / 2) draws are made and the first floor(n_samples / 2)
+    are mirrored, so at odd n_samples an audit at n_samples + 1 scores the
+    same draws plus one mirror.
 
-    The draws come in fixed-size chunks of about 2**20 standard normals;
-    chunk k draws from its own child stream ``audit_streams(seed, n)[k]``, an
-    SFC64 generator seeded by the k-th ``SeedSequence`` child of
-    ``make_rng(seed)``, and the chunks run in parallel on the usable cores.
-    Each chunk is drawn and scored in blocks through one reused buffer of
-    about 2**17 values, so memory per worker does not depend on n_samples.
-    The report depends only on (seed, n_samples, basis.m), never on the core
-    count or the block size.  Releases keep the Philox stream
-    ``make_rng(seed)`` itself, not these child streams.
+    The draws come from the one stream ``make_rng(seed)``, block by block
+    through one reused buffer of 2**17 values, so memory does not depend on
+    n_samples.  The report depends only on the seed, n_samples, mu and the
+    budget, never on the block size.
     """
     if not _to_float(n_samples, "n_samples").is_integer():
         raise ValueError(f"n_samples must be a whole number, got {n_samples}")
@@ -240,35 +228,18 @@ def dp_audit(
         _check_sigma_sq(minimum, zero_ok=False)  # zero for identical summaries
         sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
-    mu, slope = _loss_line(shift, d_sq, basis, sigma_sq)
+    mu, _ = _loss_line(shift, d_sq, basis, sigma_sq)
 
     draws, mirrored = -(-n_samples // 2), n_samples // 2
-    rows = max(1, _AUDIT_CHUNK_VALUES // basis.m)
-    block_rows = max(1, _AUDIT_BLOCK_VALUES // basis.m)
-    streams = audit_streams(seed, -(-draws // rows))
-
-    def violations(k: int) -> int:
-        chunk = min(rows, draws - k * rows)
-        buf = np.empty((min(block_rows, chunk), basis.m))
-        count = 0
-        for start in range(0, chunk, block_rows):
-            b = min(block_rows, chunk - start)
-            z = _noise_coefficients(basis, sigma_sq, streams[k], buf[:b])
-            # einsum rather than BLAS gemv: the chunks run on several threads
-            # at once, and a threaded BLAS inside each would oversubscribe the cores.
-            t = np.einsum("ij,j->i", z, slope)
-            mirror = t[: mirrored - (k * rows + start)]
-            count += int(np.count_nonzero(mu + t > budget.epsilon)
-                         + np.count_nonzero(mu - mirror > budget.epsilon))
-        return count
-
-    # Imported here so that only audits pay for loading concurrent.futures.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # numpy's samplers and ufuncs release the GIL, so the chunks overlap.
-    workers = min(_usable_cores(), len(streams))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        total = sum(pool.map(violations, range(len(streams))))
+    scale = math.sqrt(2.0 * mu)  # the standard deviation of t = z . slope
+    rng = make_rng(seed)
+    buf = np.empty(min(_AUDIT_BLOCK_VALUES, draws))
+    total = 0
+    for start in range(0, draws, buf.size):
+        t = rng.standard_normal(out=buf[: draws - start])
+        t *= scale
+        total += int(np.count_nonzero(mu + t > budget.epsilon)
+                     + np.count_nonzero(mu - t[: mirrored - start] > budget.epsilon))
     rate = total / n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / n_samples)
     return AuditReport(

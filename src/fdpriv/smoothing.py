@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import Curve, Grid, _to_float
+from .kernels import Curve, Grid, _to_float, _to_float_array
 from .spectral import SpectralBasis, coefficients, reconstruct
 
 
@@ -58,7 +58,7 @@ class SampleSet:
     _tau_stated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _to_float_array(self.values, "values")
         if values.ndim != 2:
             raise ValueError("sample values must be an (N, M) array")
         if values.shape[0] == 0:

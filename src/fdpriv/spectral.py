@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import Curve, Grid, KernelSpec, gram_matrix
+from .kernels import Curve, Grid, KernelSpec, _to_float_array, gram_matrix
 
 DEFAULT_TRUNCATION_TOL = 1e-12
 
@@ -89,7 +89,7 @@ class SpectralBasis:
     spec: KernelSpec | None = None
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float)
+        lam = _to_float_array(self.eigenvalues, "eigenvalues")
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("need at least one eigenvalue")
         if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
@@ -98,7 +98,7 @@ class SpectralBasis:
             raise ValueError("eigenvalues must be non-increasing")
         if lam.size > self.grid.size:
             raise ValueError("more eigenpairs than grid points")
-        matrix = np.array(self.matrix, dtype=float)
+        matrix = _to_float_array(self.matrix, "matrix")
         if matrix.ndim != 2 or matrix.shape[1] != lam.size:
             raise ValueError("eigenvalue/eigenfunction count mismatch")
         if matrix.shape[0] != self.grid.size:

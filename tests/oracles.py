@@ -3,11 +3,12 @@
 Besides the dense-solve smoother oracle, this module holds the formulas that
 only the tests need: the closed-form sensitivity maximizer, the dual Gram
 matrix of a batch of functionals and its quadratic form, the hashed
-substream seeds of the Monte-Carlo acceptance studies, a serial replay of
-the privacy audit, and the coefficient-space (P)CV score.
+substream seeds of the Monte-Carlo acceptance studies, a one-call replay
+of the privacy audit, and the coefficient-space (P)CV score.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ from fdpriv import (
     shrinkage_factors,
 )
 from fdpriv.calibration import _validate_gs_args
+from fdpriv.rng import make_rng
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,7 +132,7 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def audit_violations_serial(
+def audit_violations_one_call(
     cd: np.ndarray,
     cdp: np.ndarray,
     eigenvalues: np.ndarray,
@@ -139,36 +141,19 @@ def audit_violations_serial(
     n_samples: int,
     seed: int,
 ) -> int:
-    """Violation count of ``dp_audit``, replayed chunk by chunk on one thread.
+    """Violation count of ``dp_audit``, with all its normals drawn in one call.
 
-    Builds the chunk streams itself rather than through ``rng.audit_streams``:
-    the audit makes ceil(n_samples / 2) noise draws, and chunk k, of
-    max(1, 2**20 // m) draws (the last one short), takes its draws in one
-    call from an SFC64 generator on the k-th of n_chunks ``SeedSequence``
-    children of the seed's 64-bit entropy.  Each draw is scored as the two
-    releases x = cd +/- sigma * sqrt(lambda) * xi in coefficient space, and
-    at odd n_samples the last draw's minus release is dropped.  Each release
-    is scored by the Cameron-Martin form of the Gaussian log density ratio,
-    (||x - cdp||^2 - ||x - cd||^2) / (2 sigma^2) with ||c||^2 = sum c_j^2 / lambda_j.
+    The audit makes ceil(n_samples / 2) draws xi from ``make_rng(seed)``.  Each
+    gives t = (D / sigma) * xi, the N(0, 2 mu) law of the noise's component
+    along the loss line, with D^2 = sum (cd - cdp)^2 / lambda and
+    mu = D^2 / (2 sigma^2).  Each t is scored as the two losses mu + t and
+    mu - t, and at odd n_samples the last draw's mirror is dropped.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    draws = -(-n_samples // 2)
-    rows = max(1, 2**20 // lam.size)
-    n_chunks = -(-draws // rows)
-    count = 0
-    children = np.random.SeedSequence(entropy=seed & _MASK64).spawn(n_chunks)
-    for k, child in enumerate(children):
-        rng = np.random.Generator(np.random.SFC64(child))
-        block = min(rows, draws - k * rows)
-        noise = np.sqrt(sigma_sq * lam) * rng.standard_normal((block, lam.size))
-        x = np.concatenate([cd + noise, cd - noise])
-        if k == n_chunks - 1 and n_samples % 2:
-            x = x[:-1]
-        ratio = (
-            np.sum((x - cdp) ** 2 / lam, axis=1) - np.sum((x - cd) ** 2 / lam, axis=1)
-        ) / (2.0 * sigma_sq)
-        count += int(np.count_nonzero(ratio > epsilon))
-    return count
+    mu = float(np.sum((cd - cdp) ** 2 / lam)) / (2.0 * sigma_sq)
+    t = math.sqrt(2.0 * mu) * make_rng(seed).standard_normal(-(-n_samples // 2))
+    losses = np.concatenate([mu + t, mu - t[: n_samples // 2]])
+    return int(np.count_nonzero(losses > epsilon))
 
 
 def pcv_score_coefficient_space(

@@ -80,6 +80,20 @@ def test_curve_validation():
         Curve(np.array([1.0, np.inf, 0.0, 0.0]), grid)
 
 
+@pytest.mark.parametrize("points,weights,name", [
+    ([0, 10**400], [1, 1], "points"),
+    ([0, 1], [1, 10**400], "weights"),
+], ids=["points", "weights"])
+def test_grid_refuses_an_integer_too_large_for_a_float(points, weights, name):
+    with pytest.raises(ValueError, match=f"{name} has an entry too large to be represented"):
+        Grid(points, weights)
+
+
+def test_curve_refuses_an_integer_too_large_for_a_float():
+    with pytest.raises(ValueError, match="values has an entry too large to be represented"):
+        Curve([10**400] + [0] * 9, uniform_grid(10))
+
+
 def test_curve_and_grid_copy_the_callers_arrays():
     points, weights, values = np.linspace(0.0, 1.0, 3), np.full(3, 1.0 / 3), np.zeros(3)
     grid = Grid(points, weights)

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from fdpriv import (
     CalibrationResult,
@@ -26,7 +27,7 @@ import fdpriv.mechanism as mechanism
 from fdpriv.rng import make_rng
 
 from conftest import toy_basis
-from oracles import audit_violations_serial, k_gram
+from oracles import audit_violations_one_call, k_gram
 
 BUDGET = PrivacyBudget(1.0, 0.1)
 
@@ -322,7 +323,7 @@ def _exact_violation_rate(pair_sq: float, sigma_sq: float, epsilon: float) -> fl
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.05])
+@pytest.mark.parametrize("scale", [1.0, 0.05, 10.0])
 @pytest.mark.parametrize("swapped", [False, True])
 def test_dp_audit_rate_matches_exact_privacy_loss_law(scale, swapped):
     basis = toy_basis()
@@ -343,8 +344,8 @@ def test_dp_audit_rate_matches_exact_privacy_loss_law(scale, swapped):
 
 
 def test_dp_audit_rate_matches_exact_law_across_seeds():
-    # Each seed's chunk streams are a fresh resample: a stream layout that
-    # biased the rate would show as a large z at some seed.
+    # Each seed's stream is a fresh resample: a draw that biased the rate
+    # would show as a large z at some seed.
     basis = toy_basis()
     rng = np.random.default_rng(72)
     cd = rng.normal(size=basis.m)
@@ -384,10 +385,10 @@ def test_non_finite_sigma_sq_is_refused(call, sigma_sq):
         call(theta, basis, sigma_sq)
 
 
-def _chunked_audit_case():
-    """A 100-mode pair at 0.05x its calibrated noise, audited over 3 chunks plus 17 releases.
+def _audit_case():
+    """A 100-mode pair at 0.05x its calibrated noise, audited at an odd sample count.
 
-    The sample count is odd, so the last draw is scored without its mirror.
+    The last draw is scored without its mirror.
     """
     basis = toy_basis(n_points=120, n_modes=100, seed=13,
                       eigenvalues=tuple(0.5 * 0.95**k for k in range(100)))
@@ -395,33 +396,43 @@ def _chunked_audit_case():
     cd = rng.normal(size=basis.m)
     cdp = cd + 0.4 * rng.normal(size=basis.m)
     sigma_sq = 0.05 * noise_scale(BUDGET, cm_norm_sq(cd - cdp, basis))
-    n_samples = 2 * 3 * (2**20 // basis.m) + 17
-    return basis, cd, cdp, sigma_sq, n_samples
+    return basis, cd, cdp, sigma_sq, 20_001
 
 
-@pytest.mark.parametrize("block_values", [
-    lambda m: mechanism._AUDIT_BLOCK_VALUES,
-    lambda m: m,
-    lambda m: 7 * m + 3,
-    lambda m: 2 * mechanism._AUDIT_CHUNK_VALUES,
-], ids=["default", "one_row", "seven_rows", "above_chunk"])
-def test_dp_audit_matches_serial_oracle_across_chunks(monkeypatch, block_values):
-    # The oracle draws each chunk in one call; the audit fills it block by block.
-    basis, cd, cdp, sigma_sq, odd_n = _chunked_audit_case()
-    monkeypatch.setattr(mechanism, "_AUDIT_BLOCK_VALUES", block_values(basis.m))
+@pytest.mark.parametrize("block_values", [1, 7, 20_001], ids=["one", "seven", "above_half"])
+def test_dp_audit_matches_one_call_oracle_at_any_block_size(monkeypatch, block_values):
+    # The oracle draws all normals in one call; the audit fills them block by block.
+    basis, cd, cdp, sigma_sq, odd_n = _audit_case()
+    monkeypatch.setattr(mechanism, "_AUDIT_BLOCK_VALUES", block_values)
     for n in (odd_n, odd_n + 1):
         report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
                           sigma_sq, n, seed=5)
-        expected = audit_violations_serial(cd, cdp, basis.eigenvalues, sigma_sq,
-                                           BUDGET.epsilon, n, seed=5)
+        expected = audit_violations_one_call(cd, cdp, basis.eigenvalues, sigma_sq,
+                                             BUDGET.epsilon, n, seed=5)
         assert 0 < expected < n
         assert report.empirical_violation_rate == expected / n
 
 
+def test_dp_audit_loss_draw_is_the_release_noise_on_the_loss_line():
+    # The audit draws t = z . slope directly as N(0, 2 mu).  Form t from the
+    # release's own noise coefficients instead and check by chi-squared tests
+    # that each mode has variance sigma_sq * lambda_j and t has variance 2 mu.
+    basis, cd, cdp, sigma_sq, _ = _audit_case()
+    shift = cd - cdp
+    mu, slope = mechanism._loss_line(shift, cm_norm_sq(shift, basis), basis, sigma_sq)
+    n = 20_000
+    z = mechanism._noise_coefficients(basis, sigma_sq, make_rng(17), np.empty((n, basis.m)))
+    t = z @ slope
+    stats = np.append(np.sum(z**2, axis=0) / (sigma_sq * basis.eigenvalues), t @ t / (2.0 * mu))
+    p_values = 2.0 * np.minimum(chi2.cdf(stats, n), chi2.sf(stats, n))
+    assert p_values.min() > 1e-3 / p_values.size, p_values.min()
+    assert abs(t.mean()) < 4.0 * math.sqrt(2.0 * mu / n)
+
+
 def test_dp_audit_odd_sample_count_drops_one_mirror():
     # At odd n the audit makes the same draws as at n + 1 and scores every
-    # release but the last draw's mirror, so the counts differ by that one.
-    basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
+    # loss but the last draw's mirror, so the counts differ by that one.
+    basis, cd, cdp, sigma_sq, n = _audit_case()
     centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
     counts = [
         round(dp_audit(*centers, basis, BUDGET, sigma_sq, k, seed=4).empirical_violation_rate * k)
@@ -444,31 +455,21 @@ def test_dp_audit_refuses_non_whole_sample_count(n_samples):
     assert report.n_samples == 10_001 and report.empirical_violation_rate > 0.0
 
 
-def test_dp_audit_memory_does_not_grow_with_samples(monkeypatch):
-    # numpy reports its buffers to tracemalloc.  A worker holds one block
-    # buffer at any sample count, where a whole chunk would take 16 MB.
-    basis, cd, cdp, sigma_sq, _ = _chunked_audit_case()
+def test_dp_audit_memory_does_not_grow_with_samples():
+    # numpy reports its buffers to tracemalloc.  The audit holds one block
+    # buffer at any sample count, where drawing all of the larger audit's
+    # normals at once would take 10 MB.
+    basis, cd, cdp, sigma_sq, _ = _audit_case()
     centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
     dp_audit(*centers, basis, BUDGET, sigma_sq, 20_000)  # first-call imports stay untraced
+    one_block = 2 * mechanism._AUDIT_BLOCK_VALUES
     peaks = {}
-    for workers, n in ((1, 20_000), (1, 200_000), (2, 200_000)):
-        monkeypatch.setattr(mechanism, "_usable_cores", lambda w=workers: w)
+    for n in (one_block, 10 * one_block):
         tracemalloc.start()
         try:
             dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=1)
-            peaks[workers, n] = tracemalloc.get_traced_memory()[1]
+            peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # Ten chunks instead of one add only their streams and futures.
-    assert peaks[1, 200_000] <= peaks[1, 20_000] + 2**16
-    assert peaks[2, 200_000] < 4 * 2**20
-
-
-def test_dp_audit_report_independent_of_worker_count(monkeypatch):
-    basis, cd, cdp, sigma_sq, n = _chunked_audit_case()
-    centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
-    reports = []
-    for workers in (1, 3):
-        monkeypatch.setattr(mechanism, "_usable_cores", lambda: workers)
-        reports.append(dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=6))
-    assert reports[0] == reports[1]
+    assert peaks[10 * one_block] <= peaks[one_block] + 2**16
+    assert peaks[10 * one_block] < 4 * 2**20

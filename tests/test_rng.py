@@ -1,4 +1,9 @@
-from fdpriv.rng import audit_streams, make_rng
+import numpy as np
+
+from fdpriv import PrivacyBudget, cm_norm_sq, dp_audit, noise_scale, reconstruct
+from fdpriv.rng import make_rng
+
+from conftest import toy_basis
 
 #: First draws of make_rng(seed), recorded as float.hex.  Releases are
 #: replayable from their recorded seed only while these stay the same.
@@ -13,18 +18,9 @@ GOLDEN = {
     ),
 }
 
-#: First normals of the privacy audit's chunk streams 0 and 1, as float.hex.
-#: An audit report at a given seed stays the same only while these do.
-AUDIT_GOLDEN = {
-    0: (
-        ("-0x1.19d8ab59737bap-1", "0x1.0a172d0cdb024p-1", "0x1.d82e1ff13cb8bp-3"),
-        ("0x1.387165d385a41p-1", "0x1.862bc446d057bp-3", "-0x1.118d840e07b81p-3"),
-    ),
-    20171117: (
-        ("-0x1.0e75405d723f2p+0", "0x1.1d7a677637da0p-2", "-0x1.ec6073d3aebe3p-1"),
-        ("-0x1.c509b4a8a001fp-2", "-0x1.5e6ea39ba6033p-2", "0x1.f2f0a5d8fb290p-1"),
-    ),
-}
+#: The violation rate of one audit, recorded as float.hex.  The audit draws
+#: from make_rng(seed), so its report replays only while GOLDEN holds.
+AUDIT_RATE = "0x1.8e1c7dcac7bf3p-7"
 
 
 def test_make_rng_first_draws_are_pinned():
@@ -33,10 +29,13 @@ def test_make_rng_first_draws_are_pinned():
         assert tuple(x.hex() for x in make_rng(seed).uniform(size=3)) == uniforms
 
 
-def test_audit_streams_first_draws_are_pinned():
-    for seed, chunks in AUDIT_GOLDEN.items():
-        # Stream k does not depend on how many streams are drawn.
-        for n in (2, 5):
-            streams = audit_streams(seed, n)
-            for k, normals in enumerate(chunks):
-                assert tuple(x.hex() for x in streams[k].standard_normal(3)) == normals
+def test_audit_report_is_pinned():
+    basis = toy_basis()
+    rng = np.random.default_rng(70)
+    cd = rng.normal(size=basis.m)
+    cdp = cd + 0.3 * rng.normal(size=basis.m)
+    budget = PrivacyBudget(1.0, 0.1)
+    sigma_sq = noise_scale(budget, cm_norm_sq(cd - cdp, basis))
+    report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, budget,
+                      sigma_sq, 20_001, seed=20171117)
+    assert report.empirical_violation_rate.hex() == AUDIT_RATE

@@ -41,6 +41,11 @@ def test_integers_too_large_for_a_float_are_refused(build, name):
         build()
 
 
+def test_sample_set_refuses_an_integer_too_large_for_a_float():
+    with pytest.raises(ValueError, match="values has an entry too large to be represented"):
+        SampleSet([[10**400] + [0] * 9], uniform_grid(10))
+
+
 def test_sample_set_tau_from_data():
     grid = uniform_grid(8)
     rng = np.random.default_rng(1)

@@ -349,6 +349,15 @@ def test_decompose_sign_convention(default_basis):
             assert col[lead] > 0
 
 
+@pytest.mark.parametrize("eigenvalues,matrix,name", [
+    ([10**400], [[1], [1]], "eigenvalues"),
+    ([0.5], [[10**400], [1]], "matrix"),
+], ids=["eigenvalues", "matrix"])
+def test_spectral_basis_refuses_an_integer_too_large_for_a_float(eigenvalues, matrix, name):
+    with pytest.raises(ValueError, match=f"{name} has an entry too large to be represented"):
+        SpectralBasis(eigenvalues, matrix, uniform_grid(2))
+
+
 def test_basis_construction_rejects_bad_inputs():
     grid = uniform_grid(2)
     good = np.array([[1.0, 1.0], [1.0, -1.0]])  # columns (1, 1) and (1, -1)
