@@ -399,11 +399,18 @@ def _audit_case():
     return basis, cd, cdp, sigma_sq, 20_001
 
 
-@pytest.mark.parametrize("block_values", [1, 7, 20_001], ids=["one", "seven", "above_half"])
-def test_dp_audit_matches_one_call_oracle_at_any_block_size(monkeypatch, block_values):
-    # The oracle draws all normals in one call; the audit fills them block by block.
+@pytest.mark.parametrize("block_values", [
+    lambda: mechanism._AUDIT_BLOCK_VALUES,
+    lambda: 1,
+    lambda: 7,
+    lambda: 20_001,
+], ids=["default", "one_row", "seven_rows", "above_chunk"])
+def test_dp_audit_matches_serial_oracle_across_chunks(monkeypatch, block_values):
+    # The oracle draws all normals serially in one call; the audit fills them
+    # in chunks of block_values draws: one, seven, one chunk above the draw
+    # count, and the module default.
     basis, cd, cdp, sigma_sq, odd_n = _audit_case()
-    monkeypatch.setattr(mechanism, "_AUDIT_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(mechanism, "_AUDIT_BLOCK_VALUES", block_values())
     for n in (odd_n, odd_n + 1):
         report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
                           sigma_sq, n, seed=5)
