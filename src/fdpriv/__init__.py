@@ -34,7 +34,6 @@ from .mechanism import (
     AuditReport,
     ReleaseMeta,
     SanitizedRelease,
-    density_log_ratio,
     dp_audit,
     noise_energy,
     release_function,
@@ -94,7 +93,6 @@ __all__ = [
     "cv_score",
     "cv_select",
     "default_mean",
-    "density_log_ratio",
     "dp_audit",
     "fold_partition",
     "gram_matrix",

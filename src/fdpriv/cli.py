@@ -210,6 +210,7 @@ def cmd_audit(args) -> None:
     report = dp_audit(theta_d, theta_dp, basis, budget, args.sigma_sq, args.n_samples, args.seed)
     _write_sidecar(args.output, args, sigma_sq=report.sigma_sq,
                    empirical_violation_rate=report.empirical_violation_rate,
+                   exact_violation_rate=report.exact_violation_rate,
                    mc_stderr=report.mc_stderr, undercalibrated=report.undercalibrated,
                    **{"pass": report.passed})
     verdict = "pass" if report.passed else "FAIL"

@@ -8,8 +8,10 @@ derivatives of the released curve are post-processing and keep its
 guarantee.  The auditor replays the privacy argument numerically: under the
 distribution induced by one dataset, the log density ratio against an
 adjacent dataset may exceed epsilon with probability at most delta.  That
-ratio is a line in the noise draw, so the auditor samples it in one
-dimension instead of drawing releases.
+ratio, the privacy loss, is exactly N(mu, 2 mu) with mu = D^2 / (2 sigma^2),
+D the pair's Cameron-Martin distance (Balle & Wang, ICML 2018); the auditor
+samples that law in one dimension and reports its exact tail beside the
+Monte-Carlo rate.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class AuditReport:
 
     empirical_violation_rate is the share of n_samples privacy losses above
     epsilon, drawn by ``dp_audit`` as mirrored pairs mu + t and mu - t.
+    exact_violation_rate is the tail those draws estimate: P(L > epsilon) for
+    the exact loss L ~ N(mu, 2 mu), 0.5 erfc((epsilon - mu) / (2 sqrt(mu))),
+    and 0.0 at mu = 0, where the loss is identically zero.
     mc_stderr is sqrt(rate * (1 - rate) / n_samples), the standard error of
     n_samples independent tail indicators, and an upper bound on the standard
     error of the audit's mirrored pairs.  A pair scores the losses mu + t and
@@ -79,16 +84,7 @@ class AuditReport:
     mc_stderr: float
     passed: bool
     undercalibrated: bool
-
-
-def _noise_coefficients(
-    basis: SpectralBasis, sigma_sq: float, rng: np.random.Generator, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` (shape (m,) or (rows, m)) in place with the basis
-    coefficients sigma * sqrt(lambda_j) * xi_j of noise draws, and return it."""
-    rng.standard_normal(out=out)
-    out *= math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues)
-    return out
+    exact_violation_rate: float
 
 
 def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
@@ -103,19 +99,6 @@ def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
     return coefficients(x, basis)
 
 
-def _loss_line(
-    shift: np.ndarray, d_sq: float, basis: SpectralBasis, sigma_sq: float
-) -> tuple[float, np.ndarray]:
-    """The privacy loss line (mu, slope) of releases centered at cd vs cdp.
-
-    shift is cd - cdp and d_sq its squared Cameron-Martin norm D^2.  The log
-    density ratio at the release cd + w is mu + w . slope, with
-    mu = D^2 / (2 sigma_sq) and slope = shift / (lambda sigma_sq): N(mu, 2 mu)
-    when w is the noise.
-    """
-    return d_sq / (2.0 * sigma_sq), shift / basis.eigenvalues / sigma_sq
-
-
 def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
     """Refuse a noise variance that is NaN, infinite, negative, or zero unless zero_ok."""
     value = _to_float(sigma_sq, "sigma_sq")
@@ -127,8 +110,8 @@ def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
 def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     """One draw of the scaled Gaussian process, deterministic in the seed."""
     _check_sigma_sq(sigma_sq, zero_ok=True)
-    coeffs = _noise_coefficients(basis, sigma_sq, make_rng(seed), np.empty(basis.m))
-    return reconstruct(coeffs, basis)
+    xi = make_rng(seed).standard_normal(basis.m)
+    return reconstruct(xi * (math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues)), basis)
 
 
 def noise_energy(basis: SpectralBasis, sigma_sq: float) -> float:
@@ -156,25 +139,6 @@ def release_function(
     return SanitizedRelease(meta, released)
 
 
-def density_log_ratio(
-    x: Curve,
-    theta_d: Curve,
-    theta_dp: Curve,
-    basis: SpectralBasis,
-    sigma_sq: float,
-) -> float:
-    """Log density ratio at x between releases centered at theta_d and theta_dp.
-
-    Both centers must lie in the basis span; the ratio is evaluated on x's
-    basis coefficients.
-    """
-    _check_sigma_sq(sigma_sq, zero_ok=False)
-    cd = _span_coefficients(theta_d, basis, "theta_d")
-    shift = cd - _span_coefficients(theta_dp, basis, "theta_dp")
-    mu, slope = _loss_line(shift, cm_norm_sq(shift, basis), basis, sigma_sq)
-    return mu + float((coefficients(x, basis) - cd) @ slope)
-
-
 def dp_audit(
     theta_d: Curve,
     theta_dp: Curve,
@@ -186,8 +150,8 @@ def dp_audit(
 ) -> AuditReport:
     """Monte-Carlo audit of the privacy tail bound for one adjacent pair.
 
-    Draws releases centered at theta_d, estimates how often the log density
-    ratio against theta_dp exceeds epsilon, and passes when that rate stays
+    Draws privacy losses of releases centered at theta_d against theta_dp,
+    estimates how often they exceed epsilon, and passes when that rate stays
     within delta plus three Monte-Carlo standard errors.  sigma_sq defaults
     to the calibrated minimum for this pair, noise_scale(budget, D^2) with D
     the pair's Cameron-Martin distance, and the report records the variance
@@ -196,17 +160,22 @@ def dp_audit(
     argument order: pass the summaries swapped to audit the opposite
     direction.
 
-    The log density ratio at the release cd + z is the loss line mu + t,
-    t = z . slope (``_loss_line``).  For the release's noise
-    z = sigma * sqrt(lambda) * xi, t is exactly N(0, 2 mu), so the audit
-    forms no release and no noise vector: it draws t itself, sqrt(2 mu)
-    times a standard normal.  t and -t are equally likely, so each draw is
-    scored as the two losses mu + t and mu - t (the releases cd + z and
-    cd - z), which halves the normals per sample and keeps the rate unbiased
-    (the AuditReport docstring shows why mc_stderr stays an upper bound).
-    ceil(n_samples / 2) draws are made and the first floor(n_samples / 2)
-    are mirrored, so at odd n_samples an audit at n_samples + 1 scores the
-    same draws plus one mirror.
+    The log density ratio at the release cd + z is mu + t, with
+    mu = D^2 / (2 sigma_sq) and t = z . shift / (lambda sigma_sq) linear in
+    the noise z = sigma * sqrt(lambda) * xi, so t is exactly N(0, 2 mu).  The
+    audit forms no release and no noise vector: it draws t itself,
+    sqrt(2 mu) times a standard normal, and the report's
+    exact_violation_rate is the tail of that law.  t and -t are equally
+    likely, so each draw is scored as the two losses mu + t and mu - t (the
+    releases cd + z and cd - z), which halves the normals per sample and
+    keeps the rate unbiased (the AuditReport docstring shows why mc_stderr
+    stays an upper bound).  ceil(n_samples / 2) draws are made and the first
+    floor(n_samples / 2) are mirrored, so at odd n_samples an audit at
+    n_samples + 1 scores the same draws plus one mirror.
+
+    Identical summaries at a stated sigma_sq, or a D^2 / (2 sigma_sq) that
+    underflows, give mu = 0: every loss is zero and both rates are 0.0.  A
+    sigma_sq so small that mu or 2 mu overflows is refused with ValueError.
 
     The draws come from the one stream ``make_rng(seed)``, block by block
     through one reused buffer of 2**17 values, so memory does not depend on
@@ -221,17 +190,20 @@ def dp_audit(
     if sigma_sq is not None:
         _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
-    shift = cd - _span_coefficients(theta_dp, basis, "theta_dp")
-    d_sq = cm_norm_sq(shift, basis)
+    d_sq = cm_norm_sq(cd - _span_coefficients(theta_dp, basis, "theta_dp"), basis)
     minimum = noise_scale(budget, d_sq)
     if sigma_sq is None:
         _check_sigma_sq(minimum, zero_ok=False)  # zero for identical summaries
         sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
-    mu, _ = _loss_line(shift, d_sq, basis, sigma_sq)
+    mu = d_sq / (2.0 * float(sigma_sq))
+    if not math.isfinite(2.0 * mu):
+        raise ValueError(f"sigma_sq={sigma_sq} is too small to audit this pair: the privacy "
+                         "loss N(mu, 2 mu), mu = D^2 / (2 sigma_sq), is not finite")
+    exact = 0.5 * math.erfc((budget.epsilon - mu) / (2.0 * math.sqrt(mu))) if mu > 0.0 else 0.0
 
     draws, mirrored = -(-n_samples // 2), n_samples // 2
-    scale = math.sqrt(2.0 * mu)  # the standard deviation of t = z . slope
+    scale = math.sqrt(2.0 * mu)  # the standard deviation of t
     rng = make_rng(seed)
     buf = np.empty(min(_AUDIT_BLOCK_VALUES, draws))
     total = 0
@@ -251,4 +223,5 @@ def dp_audit(
         mc_stderr=stderr,
         passed=rate <= budget.delta + 3.0 * stderr,
         undercalibrated=undercalibrated,
+        exact_violation_rate=exact,
     )

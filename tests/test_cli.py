@@ -358,6 +358,26 @@ def test_audit_non_finite_sigma_sq_is_config_error(tmp_path, capsys, sigma_sq):
     assert not report.exists()
 
 
+def test_audit_sigma_sq_whose_loss_overflows_is_config_error(tmp_path, capsys):
+    # Two distinct smoothed samples: at sigma_sq=1e-310 the loss mean
+    # D^2 / (2 sigma_sq) overflows, which the audit refuses instead of
+    # scoring infinite losses.
+    summaries = []
+    for seed in ("0", "2"):
+        sample, smooth = tmp_path / f"D{seed}.csv", tmp_path / f"S{seed}.csv"
+        assert run("simulate", "--seed", seed, "--output", str(sample)) == 0
+        assert run("smooth", "--input", str(sample), "--output", str(smooth)) == 0
+        summaries.append(str(smooth))
+    report = tmp_path / "audit.txt"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("audit", "--theta-d", summaries[0], "--theta-dp", summaries[1],
+                   "--sigma-sq", "1e-310", "--output", str(report)) == 2
+    assert "sigma_sq=1e-310 is too small to audit this pair" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("budget", [("1e-200", "0.1"), ("1e-160", "0.1"), ("0.5", "1e-320")],
                          ids=["epsilon_sq_underflows", "multiplier_overflows", "tiny_delta"])
 @pytest.mark.parametrize("command", ["release", "projections", "pcv", "sweep", "audit"])
@@ -557,7 +577,8 @@ SIDECAR_OUTPUTS = {
     "smooth": {"n", "tau", "modes"},
     "release": RELEASE_META,
     "projections": RELEASE_META,
-    "audit": {"sigma_sq", "empirical_violation_rate", "mc_stderr", "pass", "undercalibrated"},
+    "audit": {"sigma_sq", "empirical_violation_rate", "exact_violation_rate", "mc_stderr", "pass",
+              "undercalibrated"},
     "cv": {"n", "scores", "selected_rho", "selected_score"},
     "pcv": {"n", "tau", "selected_phi", "selected_rho"},
     "sweep": set(),

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 from fdpriv import (
     CalibrationResult,
@@ -14,7 +15,6 @@ from fdpriv import (
     coefficients,
     cm_norm_sq,
     compatibility_check,
-    density_log_ratio,
     dp_audit,
     noise_energy,
     noise_scale,
@@ -154,57 +154,11 @@ def test_release_projections_covariance_matches_k_gram():
     assert np.all(np.abs(emp - target) <= 0.05 * scale)
 
 
-def test_density_log_ratio_equal_centers_is_zero():
-    basis = toy_basis()
-    rng = np.random.default_rng(31)
-    theta = reconstruct(rng.normal(size=basis.m), basis)
-    for _ in range(5):
-        x = reconstruct(rng.normal(size=basis.m), basis)
-        assert density_log_ratio(x, theta, theta, basis, 0.5) == 0.0
-
-
-def test_density_log_ratio_single_mode_hand_value():
-    basis = toy_basis()
-    lam1 = basis.eigenvalues[0]
-    c, sigma_sq = 0.8, 0.3
-    theta_d = reconstruct(np.eye(basis.m)[0] * c, basis)
-    theta_dp = reconstruct(-np.eye(basis.m)[0] * c, basis)
-    got = density_log_ratio(theta_d, theta_d, theta_dp, basis, sigma_sq)
-    assert got == pytest.approx(2.0 * c**2 / (sigma_sq * lam1), rel=1e-12)
-
-
-def test_density_log_ratio_is_the_cameron_martin_form_off_center():
-    basis = toy_basis()
-    rng = np.random.default_rng(43)
-    for sigma_sq in (0.05, 0.4, 3.0):
-        for _ in range(10):
-            x, a, b = (reconstruct(rng.normal(size=basis.m), basis) for _ in range(3))
-            cx, ca, cb = (coefficients(c, basis) for c in (x, a, b))
-            expected = (cm_norm_sq(cx - cb, basis) - cm_norm_sq(cx - ca, basis)) / (2.0 * sigma_sq)
-            got = density_log_ratio(x, a, b, basis, sigma_sq)
-            assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_density_log_ratio_antisymmetry():
-    basis = toy_basis()
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        x = reconstruct(rng.normal(size=basis.m), basis)
-        a = reconstruct(rng.normal(size=basis.m), basis)
-        b = reconstruct(rng.normal(size=basis.m), basis)
-        lhs = density_log_ratio(x, a, b, basis, 0.4)
-        rhs = -density_log_ratio(x, b, a, basis, 0.4)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
 @pytest.mark.parametrize("call", [
     lambda bad, ok, basis: release_function(bad, basis, make_calibration(0.5, basis), 0),
-    lambda bad, ok, basis: density_log_ratio(ok, bad, ok, basis, 0.5),
-    lambda bad, ok, basis: density_log_ratio(ok, ok, bad, basis, 0.5),
     lambda bad, ok, basis: dp_audit(bad, ok, basis, BUDGET, 0.5, 10_000),
     lambda bad, ok, basis: dp_audit(ok, bad, basis, BUDGET, 0.5, 10_000),
-], ids=["release", "log_ratio_theta_d", "log_ratio_theta_dp", "audit_theta_d",
-        "audit_theta_dp"])
+], ids=["release", "audit_theta_d", "audit_theta_dp"])
 def test_off_span_curve_is_refused_everywhere(call):
     basis = toy_basis()
     raw = np.random.default_rng(41).normal(size=basis.grid.size)
@@ -313,16 +267,6 @@ def test_dp_audit_swap_direction_runs():
     assert fwd.passed and bwd.passed
 
 
-def _exact_violation_rate(pair_sq: float, sigma_sq: float, epsilon: float) -> float:
-    """P(L > epsilon) for the exact privacy loss L ~ N(mu, 2 mu), mu = D^2 / (2 sigma^2).
-
-    Equals Phi(D / (2 sigma) - epsilon sigma / D) (Balle & Wang, ICML 2018).
-    """
-    d, sigma = math.sqrt(pair_sq), math.sqrt(sigma_sq)
-    z = d / (2.0 * sigma) - epsilon * sigma / d
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 @pytest.mark.parametrize("scale", [1.0, 0.05, 10.0])
 @pytest.mark.parametrize("swapped", [False, True])
 def test_dp_audit_rate_matches_exact_privacy_loss_law(scale, swapped):
@@ -337,7 +281,7 @@ def test_dp_audit_rate_matches_exact_privacy_loss_law(scale, swapped):
         centers = centers[::-1]
     n = 200_000
     report = dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=12)
-    exact = _exact_violation_rate(pair_sq, sigma_sq, BUDGET.epsilon)
+    exact = report.exact_violation_rate
     stderr = math.sqrt(exact * (1.0 - exact) / n)
     assert abs(report.empirical_violation_rate - exact) <= 4.0 * stderr
     assert report.undercalibrated == (scale < 1.0)
@@ -354,14 +298,84 @@ def test_dp_audit_rate_matches_exact_law_across_seeds():
     sigma_sq = noise_scale(BUDGET, pair_sq)
     centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
     n = 100_000
-    exact = _exact_violation_rate(pair_sq, sigma_sq, BUDGET.epsilon)
+    reports = [dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=seed) for seed in range(12)]
+    exact = reports[0].exact_violation_rate
     stderr = math.sqrt(exact * (1.0 - exact) / n)
-    z = [
-        (dp_audit(*centers, basis, BUDGET, sigma_sq, n, seed=seed).empirical_violation_rate
-         - exact) / stderr
-        for seed in range(12)
-    ]
+    z = [(report.empirical_violation_rate - exact) / stderr for report in reports]
     assert max(map(abs, z)) < 4.0, z
+
+
+@pytest.mark.parametrize("budget,pinned", [(BUDGET, 0.0124330), (PrivacyBudget(0.5, 0.01), None)],
+                         ids=["eps1-delta0.1", "eps0.5-delta0.01"])
+def test_dp_audit_exact_rate_at_the_calibrated_noise_is_the_budget_oracle(budget, pinned):
+    # At sigma_sq = noise_scale(budget, D^2), mu = epsilon^2 / (2 c^2) with
+    # c = sqrt(2 log(2/delta)) for every pair, so the tail of N(mu, 2 mu)
+    # above epsilon is Phi(epsilon / (2 c) - c).
+    c = math.sqrt(2.0 * math.log(2.0 / budget.delta))
+    oracle = norm.cdf(budget.epsilon / (2.0 * c) - c)
+    if pinned is not None:
+        assert oracle == pytest.approx(pinned, abs=5e-8)
+    basis = toy_basis()
+    rng = np.random.default_rng(73)
+    for _ in range(4):
+        cd = rng.normal(size=basis.m)
+        cdp = cd + rng.uniform(0.01, 2.0) * rng.normal(size=basis.m)
+        report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, budget,
+                          n_samples=10_000)
+        assert report.exact_violation_rate == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [0.05, 10.0])
+def test_dp_audit_exact_rate_off_the_calibrated_noise_is_the_normal_tail(scale):
+    basis = toy_basis()
+    rng = np.random.default_rng(74)
+    cd = rng.normal(size=basis.m)
+    cdp = cd + 0.4 * rng.normal(size=basis.m)
+    pair_sq = cm_norm_sq(cd - cdp, basis)
+    sigma_sq = scale * noise_scale(BUDGET, pair_sq)
+    report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
+                      sigma_sq, 10_000)
+    mu = pair_sq / (2.0 * sigma_sq)
+    expected = norm.sf((BUDGET.epsilon - mu) / math.sqrt(2.0 * mu))
+    assert 0.0 < expected < 1.0
+    assert report.exact_violation_rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_dp_audit_zero_loss_mean_has_zero_rates():
+    # Identical summaries at a stated sigma_sq, and a pair whose
+    # D^2 / (2 sigma_sq) underflows to 0: the loss is identically zero.
+    basis = toy_basis()
+    theta = reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis)
+    tiny = reconstruct(np.array([1e-150, 0.0, 0.0, 0.0, 0.0]), basis)
+    zero = reconstruct(np.zeros(basis.m), basis)
+    pair_sq = cm_norm_sq(coefficients(tiny, basis) - coefficients(zero, basis), basis)
+    assert pair_sq > 0.0 and pair_sq / (2.0 * 1e30) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [dp_audit(theta, theta, basis, BUDGET, 0.3, 10_000),
+                   dp_audit(tiny, zero, basis, BUDGET, 1e30, 10_000)]
+    for report in reports:
+        assert report.exact_violation_rate == 0.0
+        assert report.empirical_violation_rate == 0.0 and report.passed
+
+
+def test_dp_audit_refuses_a_sigma_sq_whose_loss_overflows():
+    # At 1e-310, mu = D^2 / (2 sigma_sq) is inf; at the second variance mu is
+    # finite but the loss variance 2 mu is not.  Either way every loss would
+    # exceed epsilon, and the draw cannot show it.
+    basis = toy_basis()
+    cd = np.array([0.4, 0.0, 0.0, 0.0, 0.0])
+    cdp = np.array([-0.4, 0.0, 0.0, 0.0, 0.0])
+    pair_sq = cm_norm_sq(cd - cdp, basis)
+    band = pair_sq / 1.5e308 / 2.0
+    mu = pair_sq / (2.0 * band)
+    assert math.isinf(pair_sq / 2e-310) and math.isfinite(mu) and math.isinf(2.0 * mu)
+    for sigma_sq in (1e-310, band):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"sigma_sq={sigma_sq} is too small"):
+                dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET,
+                         sigma_sq, 10_000)
 
 
 def test_dp_audit_rejects_small_sample_count():
@@ -376,8 +390,7 @@ def test_dp_audit_rejects_small_sample_count():
     lambda theta, basis, s: dp_audit(theta, theta, basis, BUDGET, s, 10_000),
     lambda theta, basis, s: sample_noise(basis, s, seed=0),
     lambda theta, basis, s: noise_energy(basis, s),
-    lambda theta, basis, s: density_log_ratio(theta, theta, theta, basis, s),
-], ids=["dp_audit", "sample_noise", "noise_energy", "density_log_ratio"])
+], ids=["dp_audit", "sample_noise", "noise_energy"])
 def test_non_finite_sigma_sq_is_refused(call, sigma_sq):
     basis = toy_basis()
     theta = reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis)
@@ -421,14 +434,16 @@ def test_dp_audit_matches_serial_oracle_across_chunks(monkeypatch, block_values)
 
 
 def test_dp_audit_loss_draw_is_the_release_noise_on_the_loss_line():
-    # The audit draws t = z . slope directly as N(0, 2 mu).  Form t from the
-    # release's own noise coefficients instead and check by chi-squared tests
-    # that each mode has variance sigma_sq * lambda_j and t has variance 2 mu.
+    # The audit draws t = z . slope directly as N(0, 2 mu), slope the shift
+    # over lambda sigma_sq.  Form t from the noise a release adds instead, one
+    # sample_noise seed per draw, and check by chi-squared tests that each
+    # mode has variance sigma_sq * lambda_j and t has variance 2 mu.
     basis, cd, cdp, sigma_sq, _ = _audit_case()
     shift = cd - cdp
-    mu, slope = mechanism._loss_line(shift, cm_norm_sq(shift, basis), basis, sigma_sq)
+    mu = cm_norm_sq(shift, basis) / (2.0 * sigma_sq)
+    slope = shift / (basis.eigenvalues * sigma_sq)
     n = 20_000
-    z = mechanism._noise_coefficients(basis, sigma_sq, make_rng(17), np.empty((n, basis.m)))
+    z = np.stack([coefficients(sample_noise(basis, sigma_sq, seed), basis) for seed in range(n)])
     t = z @ slope
     stats = np.append(np.sum(z**2, axis=0) / (sigma_sq * basis.eigenvalues), t @ t / (2.0 * mu))
     p_values = 2.0 * np.minimum(chi2.cdf(stats, n), chi2.sf(stats, n))
