@@ -19,6 +19,7 @@ from fdpriv import (
     default_mean,
     kernel_basis,
     kl_simulate,
+    noise_energy,
     penalized_mean,
     release_function,
     uniform_grid,
@@ -43,9 +44,9 @@ print(f"sensitivity bound delta_sq = {calib.delta_sq:.4e}")
 print(f"noise variance sigma_sq   = {calib.sigma_sq:.4e}")
 
 release = release_function(mu_hat, basis, calib, seed=7)
-noise_energy = float(grid.norm_sq(release.curve.values - mu_hat.values))
-print(f"released curve; realized noise energy = {noise_energy:.4e} "
-      f"(expected sigma_sq * trace = {calib.sigma_sq * basis.eigenvalues.sum():.4e})")
+realized_energy = float(grid.norm_sq(release.curve.values - mu_hat.values))
+print(f"released curve; realized noise energy = {realized_energy:.4e} "
+      f"(expected sigma_sq * trace = {noise_energy(basis, calib.sigma_sq):.4e})")
 print(f"provenance: {release.meta.as_dict()}")
 
 # post-processing is free: any transform of the released curve keeps the

@@ -100,12 +100,10 @@ def grid_from_points(points) -> Grid:
     weights only slightly.  This is how grids read back from CSV recover
     their weights.
     """
-    points = np.asarray(points, dtype=float)
+    points = _to_float_array(points, "points")
     if points.ndim != 1 or points.size < 2:
         raise ValueError("need at least two grid points")
     gaps = np.diff(points)
-    if np.any(gaps <= 0):
-        raise ValueError("grid points must be strictly increasing")
     if np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12):
         weights = np.full(points.size, (points[-1] - points[0]) / points.size)
     else:
@@ -139,6 +137,15 @@ class Curve:
         return math.sqrt(float(self.grid.norm_sq(self.values)))
 
 
+def _check_rho(value) -> float:
+    """A kernel range parameter as a float; the one rho rule, described in ``KernelSpec``."""
+    rho = _to_float(value, "rho")
+    if not (rho > 0.0 and np.finfo(float).tiny <= rho * rho < math.inf):
+        raise ValueError(f"kernel range parameter rho={rho} must be positive, with a square "
+                         "that is a normal float (about 1.5e-154 to 1.3e154)")
+    return rho
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A Matern-family covariance kernel: family name plus range parameter rho.
@@ -159,12 +166,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}"
             )
-        rho = _to_float(self.rho, "rho")
-        if not (rho > 0.0 and np.finfo(float).tiny <= rho * rho < math.inf):
-            raise ValueError(f"kernel range parameter rho={rho} must be positive, with a square "
-                             "that is a normal float (about 1.5e-154 to 1.3e154)")
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", _check_rho(self.rho))
 
 
 def gram_matrix(spec: KernelSpec, grid: Grid, rows=None) -> np.ndarray:

@@ -174,8 +174,10 @@ def dp_audit(
     n_samples + 1 scores the same draws plus one mirror.
 
     Identical summaries at a stated sigma_sq, or a D^2 / (2 sigma_sq) that
-    underflows, give mu = 0: every loss is zero and both rates are 0.0.  A
-    sigma_sq so small that mu or 2 mu overflows is refused with ValueError.
+    underflows, give mu = 0: every loss is zero and both rates are 0.0.
+    Identical summaries without one leave nothing to calibrate against.  They
+    are refused with ValueError, as are a D^2 or a calibrated sigma_sq that
+    overflows, and a stated sigma_sq so small that mu or 2 mu overflows.
 
     The draws come from the one stream ``make_rng(seed)``, block by block
     through one reused buffer of 2**17 values, so memory does not depend on
@@ -191,9 +193,17 @@ def dp_audit(
         _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
     d_sq = cm_norm_sq(cd - _span_coefficients(theta_dp, basis, "theta_dp"), basis)
+    if not math.isfinite(d_sq):
+        raise ValueError("the pair's squared Cameron-Martin distance D^2 is not a finite "
+                         "float; rescale the summaries")
     minimum = noise_scale(budget, d_sq)
     if sigma_sq is None:
-        _check_sigma_sq(minimum, zero_ok=False)  # zero for identical summaries
+        if d_sq == 0.0:
+            raise ValueError("theta_d and theta_dp are identical (D^2 = 0), so there is no noise "
+                             "variance to calibrate against; state one to audit them at mu = 0")
+        if minimum == math.inf:
+            raise ValueError(f"the noise variance calibrated for the pair's D^2 = {d_sq} "
+                             "is not a finite float")
         sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
     mu = d_sq / (2.0 * float(sigma_sq))

@@ -19,14 +19,13 @@ exactly 1 with ``calibrate_on_full_n``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import PrivacyBudget, calibrate
-from .kernels import KernelSpec, _to_float
+from .kernels import KernelSpec, _check_rho, _to_float
 from .mechanism import noise_energy
 from .rng import make_rng
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
@@ -50,13 +49,11 @@ class SelectionGrid:
     folds: int = 10
 
     def __post_init__(self):
-        phi = tuple(_to_float(v, "phi") for v in self.phi_values)
-        rho = tuple(_to_float(v, "rho") for v in self.rho_values)
+        phi = tuple(SmootherConfig(v).phi for v in self.phi_values)
+        rho = tuple(_check_rho(v) for v in self.rho_values)
         for name, grid in (("phi", phi), ("rho", rho)):
             if len(grid) == 0:
                 raise ValueError(f"{name} grid must be non-empty")
-            if any(v <= 0 or not math.isfinite(v) for v in grid):
-                raise ValueError(f"{name} grid values must be positive and finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} grid must be strictly increasing")
         _check_folds(self.folds)
@@ -110,7 +107,7 @@ def cv_select(
     Candidates are scanned in increasing order and ties resolve to the
     smallest rho; each candidate derives its own spectral basis.
     """
-    rho_values = sorted(_to_float(r, "rho") for r in rho_grid)
+    rho_values = sorted(_check_rho(r) for r in rho_grid)
     if not rho_values:
         raise ValueError("rho grid must be non-empty")
     scores = [cv_score(data, KernelSpec(family, rho), phi_fixed, eta, folds, seed)

@@ -46,7 +46,8 @@ class SampleSet:
     the quantity sensitivity bounds scale with.  By default (tau None) it is
     recomputed from the data as the largest realized norm, which is itself
     mildly disclosive; pass an explicit tau to bound the data a priori
-    instead.  Nonzero curves whose norms underflow to a tau of 0 are refused.
+    instead.  Curves whose squared norms overflow, and nonzero curves whose
+    norms underflow to a tau of 0, are refused.
     The mean curve ``mean`` is computed on first access and kept, so every
     fit of one set, such as a cross-validation fold's training set scored at
     several penalties, reads the same mean.
@@ -69,11 +70,14 @@ class SampleSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("curve values must be finite")
-        norms = np.sqrt(self.grid.norm_sq(values))
-        tau = float(norms.max()) if self.tau is None else _to_float(self.tau, "tau")
+        with np.errstate(over="ignore"):
+            largest = float(np.sqrt(self.grid.norm_sq(values)).max())
+        if largest == math.inf:
+            raise ValueError("a curve's squared norm is not a finite float; rescale the curves")
+        tau = largest if self.tau is None else _to_float(self.tau, "tau")
         if not (math.isfinite(tau) and tau >= 0.0):
             raise ValueError("tau must be a finite non-negative bound")
-        if norms.max() > tau:
+        if largest > tau:
             raise ValueError("a curve exceeds the stated norm bound tau")
         if tau == 0.0 and np.any(values):
             raise ValueError("the curves are nonzero but their norms underflow to 0, "
@@ -118,6 +122,4 @@ def penalized_mean(data: SampleSet, basis: SpectralBasis, cfg: SmootherConfig) -
     Data energy orthogonal to the retained span is discarded; the output
     therefore always lies in the span and passes the compatibility check.
     """
-    if not data.grid.matches(basis.grid):
-        raise ValueError("data grid does not match the basis grid")
     return reconstruct(shrinkage_factors(basis, cfg) * coefficients(data.mean, basis), basis)

@@ -8,9 +8,11 @@ squared Cameron-Martin norm  sum_j c_j^2 / lambda_j  of a coefficient vector
 is the quantity that controls how much Gaussian noise a release needs.
 
 ``kernel_basis`` is the one constructor of such a basis from a kernel.  It
-takes one of three routes to the eigenpairs, tried in this order, and all
-of them apply the same truncation and sign rules.  Only the dense routes
-(split and full) form the M x M Gram matrix.
+takes one of three routes to the eigenpairs, tried in this order.  Each
+route returns plain arrays, every eigenvalue it found in ascending order
+and the matching unit eigenvectors of S as columns, and ``kernel_basis``
+alone applies the truncation and sign rules to them.  Only the dense
+routes (split and full) form the M x M Gram matrix.
 
 * Low rank.  Smooth kernels keep few modes whatever the grid size: the
   Gaussian keeps 111 at rho = 0.001 and 39 at rho = 0.01.  On grids of at
@@ -37,8 +39,7 @@ of them apply the same truncation and sign rules.  Only the dense routes
   ||S - J S J||_F <= M * eps * ||S||_F, a difference below eigh's own
   backward error, the centrosymmetric part (S + J S J) / 2 splits into two
   half-size symmetric problems, one for the eigenvectors even under J and
-  one for the odd ones, and only the retained eigenvectors are assembled at
-  full size.
+  one for the odd ones, which are then assembled at full size.
 * Full.  Every other grid (irregular grids read from CSV) takes one
   full-size eigh.
 
@@ -50,8 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -137,17 +136,16 @@ def kernel_basis(
     sqrt_w = np.sqrt(grid.weights)
     evals, vectors = _low_rank_eigh(spec, grid, sqrt_w, tol) or _dense_eigh(spec, grid, sqrt_w)
     kept = np.nonzero(evals > tol * evals[-1])[0][::-1]  # descending order
-    funcs = vectors(kept) / sqrt_w[:, None]
+    funcs = np.take(vectors, kept, axis=1) / sqrt_w[:, None]  # C order, unlike vectors[:, kept]
     mags = np.abs(funcs)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)  # first True per column
     funcs *= np.where(funcs[lead, np.arange(kept.size)] < 0.0, -1.0, 1.0)
     return SpectralBasis(evals[kept], funcs, grid, spec)
 
 
-_Eigh = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
-def _dense_eigh(spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray) -> _Eigh:
+def _dense_eigh(
+    spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenpair of S, formed whole.
 
     Two half-size eigh calls solve S if it is centrosymmetric, else one full-size call.
@@ -156,13 +154,12 @@ def _dense_eigh(spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray) -> _Eigh:
     flipped = sym[::-1, ::-1]
     if np.linalg.norm(sym - flipped) <= grid.size * np.finfo(float).eps * np.linalg.norm(sym):
         return _split_eigh(0.5 * (sym + flipped))
-    evals, evecs = np.linalg.eigh(sym)
-    return evals, partial(np.take, evecs, axis=1)  # the columns at given positions
+    return np.linalg.eigh(sym)
 
 
 def _low_rank_eigh(
     spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray, tol: float
-) -> _Eigh | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenpairs of S ~ L L^T from a greedy pivoted Cholesky factor L, or None.
 
     Step k pivots on the largest entry p of the residual diagonal d of
@@ -228,10 +225,10 @@ def _low_rank_eigh(
     except np.linalg.LinAlgError:
         return None
     evals, small = np.linalg.eigh(tri @ tri.T)
-    return trace * evals, lambda cols: q @ small[:, cols]
+    return trace * evals, q @ small
 
 
-def _split_eigh(sym: np.ndarray) -> _Eigh:
+def _split_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric centrosymmetric matrix from two half-size eigh calls.
 
     With h = M // 2, A = S[:h, :h] and B J = S[:h, ::-1][:, :h], the even
@@ -241,8 +238,8 @@ def _split_eigh(sym: np.ndarray) -> _Eigh:
     the last component of an even-block eigenvector is the middle entry of
     the full one.
 
-    Returns all eigenvalues in ascending order and a function that assembles
-    the full-length unit eigenvectors at the given positions of that order.
+    Returns all eigenvalues in ascending order and the full-length unit
+    eigenvectors as the columns of an M x M matrix, in that order.
     """
     m = sym.shape[0]
     h = m // 2
@@ -256,20 +253,12 @@ def _split_eigh(sym: np.ndarray) -> _Eigh:
     odd_vals, odd_vecs = np.linalg.eigh(a - bj)
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
-
-    def vectors(cols: np.ndarray) -> np.ndarray:
-        src = order[cols]
-        is_even = src < even_vals.size
-        half = np.zeros((m - h, src.size))  # rows 0..h-1, then the middle row for odd M
-        half[:, is_even] = even_vecs[:, src[is_even]]
-        half[:h, ~is_even] = odd_vecs[:, src[~is_even] - even_vals.size]
-        out = np.empty((m, src.size))
-        out[:h] = math.sqrt(0.5) * half[:h]
-        out[m - h :] = (np.where(is_even, 1.0, -1.0) * out[:h])[::-1]
-        if m % 2:
-            out[h] = half[h]
-        return out
-
+    is_even = order < even_vals.size
+    vectors = np.zeros((m, m))  # even columns fill rows 0..h-1, then the middle row for odd M
+    vectors[: m - h, is_even] = even_vecs[:, order[is_even]]
+    vectors[:h, ~is_even] = odd_vecs[:, order[~is_even] - even_vals.size]
+    vectors[:h] *= math.sqrt(0.5)
+    vectors[m - h :] = (np.where(is_even, 1.0, -1.0) * vectors[:h])[::-1]
     return evals[order], vectors
 
 
@@ -280,12 +269,17 @@ def coefficients(x: Curve, basis: SpectralBasis) -> np.ndarray:
     return (basis.grid.weights * x.values) @ basis.matrix
 
 
-def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> Curve:
-    """Curve sum_j c_j v_j from a coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def _coefficient_vector(coeffs, basis: SpectralBasis) -> np.ndarray:
+    """coeffs as a float vector with one entry per retained mode of the basis."""
+    coeffs = _to_float_array(coeffs, "coefficients")
     if coeffs.shape != (basis.m,):
         raise ValueError(f"expected {basis.m} coefficients, got {coeffs.shape}")
-    return Curve(basis.matrix @ coeffs, basis.grid)
+    return coeffs
+
+
+def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> Curve:
+    """Curve sum_j c_j v_j from a coefficient vector."""
+    return Curve(basis.matrix @ _coefficient_vector(coeffs, basis), basis.grid)
 
 
 def cm_norm_sq(coeffs: np.ndarray, basis: SpectralBasis) -> float:
@@ -293,12 +287,10 @@ def cm_norm_sq(coeffs: np.ndarray, basis: SpectralBasis) -> float:
 
     This is the norm of the noise covariance C under which the global
     sensitivity of a release is measured, whatever penalty exponent the
-    estimator used.
+    estimator used.  A norm past the float range is inf, with no warning.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.m,):
-        raise ValueError(f"expected {basis.m} coefficients, got {coeffs.shape}")
-    return float(np.sum(coeffs**2 / basis.eigenvalues))
+    with np.errstate(over="ignore"):
+        return float(np.sum(_coefficient_vector(coeffs, basis) ** 2 / basis.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -322,11 +314,14 @@ def compatibility_check(x: Curve, basis: SpectralBasis) -> CompatibilityReport:
 
     A summary failing this check cannot be privatized by noise drawn from this
     basis at any scale, so release operations refuse it outright.  The check
-    itself never raises; it reports.
+    itself never raises; it reports.  It runs on the curve scaled by the power
+    of two that puts its largest entry in [0.5, 1), which is exact, so the
+    verdict and share are the curve's own and no square overflows.
     """
-    residual = x.values - basis.matrix @ coefficients(x, basis)
+    scaled = Curve(np.ldexp(x.values, -np.frexp(np.max(np.abs(x.values)))[1]), x.grid)
+    residual = scaled.values - basis.matrix @ coefficients(scaled, basis)
     residual_energy = float(basis.grid.norm_sq(residual))
-    total_energy = float(basis.grid.norm_sq(x.values))
+    total_energy = float(basis.grid.norm_sq(scaled.values))
     fraction = residual_energy / total_energy if total_energy > 0.0 else 0.0
     compatible = residual_energy <= RELEASE_COMPAT_TOL * total_energy
     return CompatibilityReport(compatible, fraction)

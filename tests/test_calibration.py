@@ -97,6 +97,12 @@ def test_gs_closed_bound_values():
     assert gs_closed_bound(1.0, 2.0, 1.0, 1) == pytest.approx(1.29904, abs=1e-5)
 
 
+@pytest.mark.parametrize("delta_sq", [-1.0, -1e-300, -math.inf])
+def test_noise_scale_refuses_a_negative_sensitivity_bound(delta_sq):
+    with pytest.raises(ValueError, match="delta_sq must be non-negative"):
+        noise_scale(PrivacyBudget(1.0, 0.1), delta_sq)
+
+
 def test_gs_sup_maximizer_values():
     assert gs_sup_maximizer(0.3, 1.0) == pytest.approx(0.3, rel=1e-14)
     assert gs_sup_maximizer(1.0, 2.0) == pytest.approx(math.sqrt(3.0), rel=1e-14)

@@ -474,6 +474,91 @@ def test_sweep_single_point(tmp_path):
     assert len(lines) == 1 + 3  # one swept value, three measured quantities
 
 
+@pytest.mark.parametrize("parameter,values,cells", [
+    ("kernel", "gaussian,matern32", ["gaussian", "matern32"]),
+    ("mean", "sin_default,zero", ["sin_default", "zero"]),
+    ("rho", "0.001,0.01", ["0.001", "0.01"]),
+    ("p", "3,4", ["3.0", "4.0"]),
+    ("epsilon", "0.5,1", ["0.5", "1.0"]),
+    ("delta", "0.05,0.1", ["0.05", "0.1"]),
+])
+def test_sweep_over_each_remaining_parameter(tmp_path, parameter, values, cells):
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert run("sweep", "--sweep", parameter, "--values", values, "--n", "8",
+                   "--grid-points", "40", "--output", str(out)) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{name}.meta").read_bytes()))
+    assert outputs[0] == outputs[1]
+    header, *rows = outputs[0][0].decode("utf-8").splitlines()
+    assert header == "parameter,value,metric,estimate"
+    rows = [row.split(",") for row in rows]
+    metrics = ["smooth_vs_truth", "release_vs_smooth", "release_vs_truth"]
+    assert [row[:3] for row in rows] == [[parameter, c, m] for c in cells for m in metrics]
+    for smooth, noise, total in zip(rows[::3], rows[1::3], rows[2::3]):
+        assert float(total[3]) == float(smooth[3]) + float(noise[3])
+
+
+@pytest.mark.parametrize("parameter,values,code,message", [
+    ("kernel", ",", 2, "sweep needs at least one value"),
+    ("kernel", "nope", 2, "unknown kernel family 'nope'"),
+    ("epsilon", "2", 3, "epsilon must be at most 1"),
+])
+def test_sweep_refusals(tmp_path, capsys, parameter, values, code, message):
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--sweep", parameter, "--values", values, "--n", "8",
+               "--grid-points", "40", "--output", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def failing_basis(spec, grid):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("fdpriv.cli.kernel_basis", failing_basis)
+    assert run("simulate", "--output", str(tmp_path / "x.csv")) == 4
+    assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_curves_too_large_to_square_are_refused(tmp_path, capsys):
+    sample, big = tmp_path / "D.csv", tmp_path / "H.csv"
+    assert run("simulate", "--n", "6", "--grid-points", "40", "--output", str(sample)) == 0
+    grid, values = read_curves_csv(sample)
+    write_curves_csv(big, grid, 1e160 * values)
+    assert run("smooth", "--input", str(big), "--output", str(tmp_path / "s.csv")) == 2
+    assert "squared norm is not a finite float" in capsys.readouterr().err
+    smoothed, scaled, negated = (tmp_path / f"{n}.csv" for n in ("t", "t160", "n160"))
+    assert run("smooth", "--input", str(sample), "--output", str(smoothed)) == 0
+    grid, mu_hat = read_curves_csv(smoothed)
+    write_curves_csv(scaled, grid, 1e160 * mu_hat)
+    write_curves_csv(negated, grid, -1e160 * mu_hat)
+    for sigma_sq in ([], ["--sigma-sq", "1"]):
+        capsys.readouterr()
+        assert run("audit", "--theta-d", str(scaled), "--theta-dp", str(negated), *sigma_sq,
+                   "--output", str(tmp_path / "a.txt")) == 2
+        assert "D^2 is not a finite float" in capsys.readouterr().err
+    assert not (tmp_path / "a.txt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_audit_of_identical_summaries_needs_a_stated_sigma_sq(tmp_path, capsys):
+    sample, smoothed, report = tmp_path / "D.csv", tmp_path / "t.csv", tmp_path / "a.txt"
+    assert run("simulate", "--n", "6", "--grid-points", "40", "--output", str(sample)) == 0
+    assert run("smooth", "--input", str(sample), "--output", str(smoothed)) == 0
+    capsys.readouterr()
+    pair = ["audit", "--theta-d", str(smoothed), "--theta-dp", str(smoothed),
+            "--samples", "10000", "--output", str(report)]
+    assert run(*pair) == 2
+    err = capsys.readouterr().err
+    assert "identical (D^2 = 0)" in err and "sigma_sq" not in err
+    assert not report.exists()
+    assert run(*pair, "--sigma-sq", "1") == 0
+    meta = read_meta(report)
+    assert meta["empirical_violation_rate"] == meta["exact_violation_rate"] == "0.0"
+
+
 def test_sweep_rejects_two_parameters_structurally(tmp_path):
     # the surface only accepts one --sweep value; a second one overrides is
     # prevented by argparse choices + single flag, so a bad name is the error path

@@ -53,6 +53,14 @@ def test_curve_csv_bytes_are_format_float_joins(tmp_path):
         assert path.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("width", [9, 11])
+def test_write_curves_csv_refuses_rows_of_the_wrong_width(tmp_path, width):
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match="curve rows do not match the grid size"):
+        write_curves_csv(path, uniform_grid(10), np.zeros((2, width)))
+    assert not path.exists()
+
+
 def test_curve_csv_uses_lf_and_no_header(tmp_path):
     grid = uniform_grid(3)
     path = tmp_path / "c.csv"

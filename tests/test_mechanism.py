@@ -169,6 +169,40 @@ def test_off_span_curve_is_refused_everywhere(call):
         call(off_span, ok, basis)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 2.0**530, 1e300, 1e-200],
+                         ids=["1e160", "2**530", "1e300", "1e-200"])
+def test_off_span_curve_is_refused_at_any_scale(scale):
+    basis = toy_basis()
+    raw = np.random.default_rng(41).normal(size=basis.grid.size)
+    off_span = raw - basis.matrix @ coefficients(Curve(raw, basis.grid), basis)
+    with pytest.raises(PrivacyRefusalError, match="outside the basis span"):
+        release_function(Curve(scale * off_span, basis.grid), basis,
+                         make_calibration(0.5, basis), 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma_sq", [None, 1.0])
+def test_dp_audit_refuses_a_pair_whose_distance_overflows(sigma_sq):
+    basis = toy_basis()
+    theta = reconstruct(np.array([1e160, 0.0, 0.0, 0.0, 0.0]), basis)
+    with pytest.raises(ValueError, match="D\\^2 is not a finite float"):
+        dp_audit(theta, reconstruct(-coefficients(theta, basis), basis), basis, BUDGET,
+                 sigma_sq, 10_000)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dp_audit_refuses_a_calibrated_variance_that_overflows():
+    basis = toy_basis()
+    cd = np.array([3e153, 0.0, 0.0, 0.0, 0.0])
+    pair_sq = cm_norm_sq(2.0 * cd, basis)
+    assert math.isfinite(pair_sq) and noise_scale(BUDGET, pair_sq) == math.inf
+    theta_d, theta_dp = reconstruct(cd, basis), reconstruct(-cd, basis)
+    with pytest.raises(ValueError, match="noise variance calibrated for the pair's D\\^2"):
+        dp_audit(theta_d, theta_dp, basis, BUDGET, None, 10_000)
+    assert dp_audit(theta_d, theta_dp, basis, BUDGET, 1e300, 10_000).undercalibrated
+
+
 def test_dp_audit_equal_pair_passes_with_zero_rate():
     basis = toy_basis()
     theta = reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis)
@@ -218,7 +252,7 @@ def test_dp_audit_defaults_to_the_pairs_calibrated_noise():
     given = dp_audit(theta_d, theta_dp, basis, BUDGET, 0.5 * minimum, 20_000, seed=8)
     assert given.sigma_sq == 0.5 * minimum and given.undercalibrated
     # identical summaries calibrate to zero noise, which cannot be audited
-    with pytest.raises(ValueError, match="sigma_sq must be finite and positive"):
+    with pytest.raises(ValueError, match=r"identical \(D\^2 = 0\)"):
         dp_audit(theta_d, theta_d, basis, BUDGET, n_samples=20_000)
 
 

@@ -42,6 +42,27 @@ def test_selection_grid_validation():
         SelectionGrid((0.1,), (0.1,), folds=1)
 
 
+def test_selection_grid_checks_each_value_by_its_owners_rule():
+    with pytest.raises(ValueError, match="kernel range parameter rho=1e[+]200 must be positive"):
+        SelectionGrid((0.1,), (0.001, 1e200))
+    for rho in (0.0, 1e-160, math.nan):
+        with pytest.raises(ValueError, match="kernel range parameter rho"):
+            SelectionGrid((0.1,), (rho,))
+    for phi in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="penalty phi must be positive and finite"):
+            SelectionGrid((0.01, phi), (0.1,))
+
+
+def test_cv_select_checks_every_candidate_before_scoring_any(monkeypatch):
+    scored = []
+    monkeypatch.setattr(fdpriv.selection, "cv_score", lambda *args: scored.append(args) or 0.0)
+    with pytest.raises(ValueError, match="kernel range parameter rho=1e[+]200"):
+        cv_select(_rough_sample(), "gaussian", 0.1, [0.01, 0.1, 1e200])
+    with pytest.raises(ValueError, match="rho grid must be non-empty"):
+        cv_select(_rough_sample(), "gaussian", 0.1, [])
+    assert scored == []
+
+
 def test_fractional_fold_count_is_refused():
     # 2.5 folds would split into 2 but divide the summed errors by 2.5
     data = _rough_sample(n=20)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,22 @@ def test_sample_set_rejects_violated_bound_and_mixed_grids():
             SampleSet(tiny, grid, tau)
         assert SampleSet(np.zeros((2, 8)), grid, tau).tau == 0.0
     assert SampleSet(tiny, grid, 1e-160).tau == 1e-160
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [None, 1e200])
+def test_sample_set_refuses_curves_whose_squared_norm_overflows(tau):
+    grid = uniform_grid(8)
+    values = np.ones((3, 8))
+    values[1] *= 1e160
+    with pytest.raises(ValueError, match="squared norm is not a finite float"):
+        SampleSet(values, grid, tau)
+
+
+@pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf])
+def test_sample_set_refuses_a_stated_tau_that_is_not_a_finite_non_negative_bound(tau):
+    with pytest.raises(ValueError, match="tau must be a finite non-negative bound"):
+        SampleSet(np.zeros((2, 8)), uniform_grid(8), tau)
 
 
 def test_sample_set_from_values_validates_rows():

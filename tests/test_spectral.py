@@ -7,6 +7,7 @@ from fdpriv import (
     KERNEL_FAMILIES,
     Curve,
     KernelSpec,
+    PrivacyBudget,
     SpectralBasis,
     cm_norm_sq,
     coefficients,
@@ -14,6 +15,7 @@ from fdpriv import (
     gram_matrix,
     grid_from_points,
     kernel_basis,
+    noise_scale,
     reconstruct,
     spectral,
     uniform_grid,
@@ -325,6 +327,36 @@ def test_abandoned_low_rank_kernel_basis_forms_the_gram_matrix_once(monkeypatch)
     assert 0 < len(requests) - 1 <= grid.size // 16
 
 
+def test_low_rank_route_that_reaches_its_rank_budget_gives_the_dense_basis(monkeypatch):
+    # Matern 5/2 at rho = 1 passes both decay checks, so the route reads a
+    # row per step up to its whole budget of M / 4 before it gives up.
+    spec, grid = KernelSpec("matern52", 1.0), uniform_grid(1000)
+    requests = record_gram_requests(monkeypatch)
+    basis = kernel_basis(spec, grid)
+    *rows, full = requests
+    assert all(len(row) == 1 for row in rows) and full is None
+    assert len(rows) == grid.size // spectral._LOW_RANK_RANK_SHARE
+    monkeypatch.undo()
+    switch_off_low_rank_route(monkeypatch)
+    dense = kernel_basis(spec, grid)
+    assert np.array_equal(basis.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(basis.matrix, dense.matrix)
+
+
+@pytest.mark.parametrize("grid", [uniform_grid(100), jittered_grid(100), uniform_grid(1000)],
+                         ids=["split", "full", "low-rank"])
+def test_kernel_basis_matrix_is_c_ordered_on_every_route(grid):
+    # coefficients and reconstruct multiply by this matrix, and BLAS rounds
+    # differently by layout, so every route hands back the same one.
+    assert kernel_basis(KernelSpec("gaussian", 0.001), grid).matrix.flags.c_contiguous
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_kernel_basis_refuses_a_tol_outside_the_unit_interval(tol):
+    with pytest.raises(ValueError, match="truncation tol must lie in"):
+        kernel_basis(KernelSpec("gaussian", 0.1), uniform_grid(10), tol)
+
+
 def test_decompose_reconstructs_gram_at_full_rank(default_basis):
     gram = gram_matrix(KernelSpec("gaussian", 0.001), default_basis.grid)
     recon = default_basis.matrix @ (
@@ -356,6 +388,17 @@ def test_decompose_sign_convention(default_basis):
 def test_spectral_basis_refuses_an_integer_too_large_for_a_float(eigenvalues, matrix, name):
     with pytest.raises(ValueError, match=f"{name} has an entry too large to be represented"):
         SpectralBasis(eigenvalues, matrix, uniform_grid(2))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda basis: grid_from_points([0, 10**400]), "points"),
+    (lambda basis: reconstruct([10**400] + [0] * (basis.m - 1), basis), "coefficients"),
+    (lambda basis: cm_norm_sq([10**400] + [0] * (basis.m - 1), basis), "coefficients"),
+    (lambda basis: noise_scale(PrivacyBudget(1.0, 0.1), 10**400), "delta_sq"),
+], ids=["grid_from_points", "reconstruct", "cm_norm_sq", "noise_scale"])
+def test_array_and_scalar_arguments_refuse_an_integer_too_large_for_a_float(call, name):
+    with pytest.raises(ValueError, match=f"{name} .*too large to be represented"):
+        call(toy_basis())
 
 
 def test_basis_construction_rejects_bad_inputs():
@@ -478,6 +521,23 @@ def test_compatibility_check_detects_off_span():
     report = compatibility_check(residual, basis)
     assert not report.compatible
     assert report.residual_fraction > 0.99
+
+
+@pytest.mark.filterwarnings("error")
+def test_compatibility_check_does_not_depend_on_the_curves_scale():
+    grid = uniform_grid(100)
+    basis = kernel_basis(KernelSpec("gaussian", 0.1), grid)  # 16 modes
+    alternating = Curve(np.where(np.arange(grid.size) % 2, -1.0, 1.0), grid)
+    unit = compatibility_check(alternating, basis)
+    assert not unit.compatible and unit.residual_fraction > 0.98
+    exact = compatibility_check(Curve(2.0**530 * alternating.values, grid), basis)
+    assert exact == unit  # a power of two rescales exactly
+    for scale in (1e160, 1e-160, 1e300):
+        report = compatibility_check(Curve(scale * alternating.values, grid), basis)
+        assert not report.compatible
+        assert report.residual_fraction == pytest.approx(unit.residual_fraction, rel=1e-12)
+    in_span = reconstruct(np.linspace(1.0, 2.0, basis.m), basis)
+    assert compatibility_check(Curve(1e160 * in_span.values, grid), basis).compatible
 
 
 def test_k_gram_and_point_eval():
