@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _to_float
-from .smoothing import SmootherConfig, shrinkage_factors
+from .kernels import _to_count, _to_float
+from .smoothing import SmootherConfig, _check_tau, shrinkage_factors
 from .spectral import SpectralBasis
 
 GS_METHODS = ("exact_spectral", "closed_form")
@@ -53,7 +53,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        epsilon = _to_float(self.epsilon, "epsilon")
+        epsilon, delta = _to_float(self.epsilon, "epsilon"), _to_float(self.delta, "delta")
         if not (math.isfinite(epsilon) and epsilon > 0.0):
             raise ValueError("epsilon must be positive")
         if epsilon > 1.0:
@@ -61,11 +61,13 @@ class PrivacyBudget:
                 "epsilon must be at most 1: the Gaussian mechanism used here "
                 "carries no guarantee beyond epsilon = 1"
             )
-        if not (0.0 < self.delta < 1.0):
+        if not (0.0 < delta < 1.0):
             raise ValueError("delta must lie strictly between 0 and 1")
-        if not math.isfinite(_noise_multiplier(self.epsilon, self.delta)):
-            raise ValueError(f"epsilon={self.epsilon} and delta={self.delta} are too small: "
+        if not math.isfinite(_noise_multiplier(epsilon, delta)):
+            raise ValueError(f"epsilon={epsilon} and delta={delta} are too small: "
                              "the noise multiplier 2 log(2/delta) / epsilon^2 is not finite")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -83,23 +85,10 @@ class CalibrationResult:
     delta: float
 
 
-def _validate_gs_args(phi: float, eta: float, tau: float,
-                      n: int) -> tuple[SmootherConfig, float, float]:
-    """The smoother (phi, eta), tau^2 and n^2 as a float (inf past the float range).
-
-    Refuses bad inputs and a tau whose square overflows.
-    """
-    cfg = SmootherConfig(phi, eta)
-    tau = _to_float(tau, "tau")
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError("tau must be non-negative")
-    tau_sq = tau * tau
-    if not math.isfinite(tau_sq):
-        raise ValueError(f"tau={tau} is too large: its square overflows")
-    n = _to_float(n, "n")
-    if not n >= 1:
-        raise ValueError("sample size must be at least 1")
-    return cfg, tau_sq, n * n
+def _check_gs_args(phi, eta, tau, n) -> tuple[SmootherConfig, float, int]:
+    """The smoother (phi, eta), tau and the sample size n, each checked by its one rule;
+    the bounds square n as float(n) * n, inf past the float range (zero noise, refused)."""
+    return SmootherConfig(phi, eta), _check_tau(tau), _to_count(n, "sample size n", 1)
 
 
 def gs_exact_bound(
@@ -112,9 +101,9 @@ def gs_exact_bound(
     lambda_j^(2 eta - 1) / (lambda_j^eta + phi)^2, but that ratio of powers
     underflows to 0/0 or 0 at large eta and tiny phi, where this one need not.
     """
-    cfg, tau_sq, n_sq = _validate_gs_args(phi, eta, tau, n)
+    cfg, tau, n = _check_gs_args(phi, eta, tau, n)
     s = shrinkage_factors(basis, cfg)
-    return 4.0 * tau_sq / n_sq * float(np.max(s * s / basis.eigenvalues))
+    return 4.0 * (tau * tau) / (float(n) * n) * float(np.max(s * s / basis.eigenvalues))
 
 
 def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
@@ -125,11 +114,12 @@ def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
     4 tau^2 / (N^2 phi^(1/eta)).  Inputs at which this expression is not a
     finite float, such as an eta whose square overflows, are refused.
     """
-    _, tau_sq, n_sq = _validate_gs_args(phi, eta, tau, n)
+    cfg, tau, n = _check_gs_args(phi, eta, tau, n)
+    phi, eta = cfg.phi, cfg.eta
     try:
         bound = (
-            tau_sq
-            / (n_sq * phi ** (1.0 / eta))
+            tau * tau
+            / (float(n) * n * phi ** (1.0 / eta))
             * (2.0 * eta - 1.0) ** (2.0 - 1.0 / eta)
             / eta**2
         )
@@ -167,25 +157,17 @@ def calibrate(
     """
     if method not in GS_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {GS_METHODS}")
+    cfg, tau, n = _check_gs_args(phi, eta, tau, n)
     if method == "exact_spectral":
-        delta_sq = gs_exact_bound(basis, phi, eta, tau, n)
+        delta_sq = gs_exact_bound(basis, cfg.phi, cfg.eta, tau, n)
     else:
-        delta_sq = gs_closed_bound(phi, eta, tau, n)
+        delta_sq = gs_closed_bound(cfg.phi, cfg.eta, tau, n)
     sigma_sq = noise_scale(budget, delta_sq)
     if sigma_sq == 0.0 and tau > 0.0:
         raise PrivacyRefusalError(
-            f"the sensitivity bound at tau={tau}, phi={phi}, eta={eta} underflows to "
+            f"the sensitivity bound at tau={tau}, phi={cfg.phi}, eta={cfg.eta} underflows to "
             "zero noise, which would release the estimate itself"
         )
-    return CalibrationResult(
-        delta_sq=delta_sq,
-        sigma_sq=sigma_sq,
-        method=method,
-        phi=float(phi),
-        eta=float(eta),
-        tau=float(tau),
-        n=int(n),
-        epsilon=budget.epsilon,
-        delta=budget.delta,
-    )
+    return CalibrationResult(delta_sq, sigma_sq, method, cfg.phi, cfg.eta, tau, n,
+                             budget.epsilon, budget.delta)
 

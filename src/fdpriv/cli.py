@@ -4,9 +4,10 @@ Subcommands: simulate | smooth | release | projections | audit | cv | pcv |
 sweep.  Each accepts exactly the options its handler reads, declared once in
 ``_OPTIONS``, and no abbreviation of them.  Every kernel basis keeps the
 modes above ``DEFAULT_TRUNCATION_TOL`` of the leading eigenvalue.  Exit codes:
-0 success, 2 configuration or parse error, 3 privacy refusal (epsilon > 1 or
-an incompatible summary), 4 numerical failure.  Every output is a CSV or
-key=value file that reruns byte-identically from the same flags and seed.
+0 success, 2 configuration or parse error (also inputs too large to allocate),
+3 privacy refusal (epsilon > 1 or an incompatible summary), 4 numerical
+failure.  Every output is a CSV or key=value file that reruns
+byte-identically from the same flags and seed.
 Every sidecar comes from ``_write_sidecar``: ``command``, the basis ``tol``,
 each option the command read under its argparse dest except the file paths,
 then the command's outputs (for ``release`` and ``projections`` the
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (CsvFormatError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (CsvFormatError, ValueError, OSError, MemoryError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,24 @@ def _to_float(value, name: str) -> float:
         raise ValueError(f"{name} is too large to be represented as a float") from None
 
 
+def _to_whole(value, name: str) -> int:
+    """value as an int, refusing a non-whole value with a ValueError naming it; the seed rule."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    number = _to_float(value, name)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(number)
+
+
+def _to_count(value, name: str, minimum: int) -> int:
+    """value as a whole number of at least minimum that a float can hold; the one count rule."""
+    count = _to_whole(value, name)
+    if _to_float(count, name) < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return count
+
+
 def _to_float_array(values, name: str) -> np.ndarray:
     """A float copy of an array argument, refusing an entry too large for a float
     with a ValueError naming the argument, as ``_to_float`` does for scalars."""
@@ -73,8 +91,9 @@ class Grid:
         return self.points.size
 
     def norm_sq(self, values) -> np.ndarray | float:
-        """Squared weighted L2 norm sum(w_k * x_k^2) of each curve along the last axis."""
-        return np.sum(self.weights * values**2, axis=-1)
+        """Squared weighted L2 norm sum(w_k * x_k^2) along the last axis; inf if it overflows."""
+        with np.errstate(over="ignore"):
+            return np.sum(self.weights * values**2, axis=-1)
 
     def matches(self, other: "Grid") -> bool:
         """True when both grids discretize the same abscissae."""
@@ -86,9 +105,7 @@ class Grid:
 
 def uniform_grid(m: int) -> Grid:
     """Equispaced m-point grid on [0, 1]; ``grid_from_points`` gives it weights 1/m."""
-    if m < 2:
-        raise ValueError("uniform grid needs at least two points")
-    return grid_from_points(np.linspace(0.0, 1.0, m))
+    return grid_from_points(np.linspace(0.0, 1.0, _to_count(m, "uniform grid size m", 2)))
 
 
 def grid_from_points(points) -> Grid:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .calibration import CalibrationResult, PrivacyBudget, PrivacyRefusalError, noise_scale
-from .kernels import Curve, _to_float
+from .kernels import Curve, _to_count, _to_float, _to_whole
 from .spectral import SpectralBasis, cm_norm_sq, coefficients, compatibility_check, reconstruct
 from .rng import make_rng
 
@@ -99,17 +99,18 @@ def _span_coefficients(x: Curve, basis: SpectralBasis, name: str) -> np.ndarray:
     return coefficients(x, basis)
 
 
-def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> None:
-    """Refuse a noise variance that is NaN, infinite, negative, or zero unless zero_ok."""
+def _check_sigma_sq(sigma_sq: float, zero_ok: bool) -> float:
+    """A noise variance as a float; refuses NaN, infinite, negative, or zero unless zero_ok."""
     value = _to_float(sigma_sq, "sigma_sq")
     if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not zero_ok):
         bound = "non-negative" if zero_ok else "positive"
         raise ValueError(f"sigma_sq must be finite and {bound}, got {sigma_sq}")
+    return value
 
 
 def sample_noise(basis: SpectralBasis, sigma_sq: float, seed: int) -> Curve:
     """One draw of the scaled Gaussian process, deterministic in the seed."""
-    _check_sigma_sq(sigma_sq, zero_ok=True)
+    sigma_sq = _check_sigma_sq(sigma_sq, zero_ok=True)
     xi = make_rng(seed).standard_normal(basis.m)
     return reconstruct(xi * (math.sqrt(sigma_sq) * np.sqrt(basis.eigenvalues)), basis)
 
@@ -122,8 +123,7 @@ def noise_energy(basis: SpectralBasis, sigma_sq: float) -> float:
     release adds in expectation to the squared L2 distance between its
     estimate and any fixed curve.
     """
-    _check_sigma_sq(sigma_sq, zero_ok=True)
-    return sigma_sq * float(np.sum(basis.eigenvalues))
+    return _check_sigma_sq(sigma_sq, zero_ok=True) * float(np.sum(basis.eigenvalues))
 
 
 def release_function(
@@ -135,7 +135,8 @@ def release_function(
     released = Curve(mu_hat.values + noise.values, basis.grid)
     family = basis.spec.family if basis.spec is not None else "custom"
     rho = basis.spec.rho if basis.spec is not None else float("nan")
-    meta = ReleaseMeta(kernel_family=family, rho=rho, seed=int(seed), **asdict(calib))
+    meta = ReleaseMeta(kernel_family=family, rho=rho, seed=_to_whole(seed, "seed"),
+                       **asdict(calib))
     return SanitizedRelease(meta, released)
 
 
@@ -184,13 +185,9 @@ def dp_audit(
     n_samples.  The report depends only on the seed, n_samples, mu and the
     budget, never on the block size.
     """
-    if not _to_float(n_samples, "n_samples").is_integer():
-        raise ValueError(f"n_samples must be a whole number, got {n_samples}")
-    n_samples = int(n_samples)
-    if n_samples < _AUDIT_MIN_SAMPLES:
-        raise ValueError(f"audit needs at least {_AUDIT_MIN_SAMPLES} samples")
+    n_samples = _to_count(n_samples, "n_samples", _AUDIT_MIN_SAMPLES)
     if sigma_sq is not None:
-        _check_sigma_sq(sigma_sq, zero_ok=False)
+        sigma_sq = _check_sigma_sq(sigma_sq, zero_ok=False)
     cd = _span_coefficients(theta_d, basis, "theta_d")
     d_sq = cm_norm_sq(cd - _span_coefficients(theta_dp, basis, "theta_dp"), basis)
     if not math.isfinite(d_sq):
@@ -206,7 +203,7 @@ def dp_audit(
                              "is not a finite float")
         sigma_sq = minimum
     undercalibrated = sigma_sq < minimum * (1.0 - 1e-12)
-    mu = d_sq / (2.0 * float(sigma_sq))
+    mu = d_sq / (2.0 * sigma_sq)
     if not math.isfinite(2.0 * mu):
         raise ValueError(f"sigma_sq={sigma_sq} is too small to audit this pair: the privacy "
                          "loss N(mu, 2 mu), mu = D^2 / (2 sigma_sq), is not finite")

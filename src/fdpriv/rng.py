@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import _to_whole
+
 _MASK64 = (1 << 64) - 1
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based Philox generator for a 64-bit seed.
+    """Counter-based Philox generator for the low 64 bits of a whole-number seed.
 
     The same seed always yields the same stream, independent of platform and
     call site; that is what makes releases replayable from their recorded
     metadata.  Normal variates come from numpy's ziggurat sampler on
     top of this bit stream.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64)
+    ss = np.random.SeedSequence(entropy=_to_whole(seed, "seed") & _MASK64)
     return np.random.Generator(np.random.Philox(ss))

@@ -25,19 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PrivacyBudget, calibrate
-from .kernels import KernelSpec, _check_rho, _to_float
+from .kernels import KernelSpec, _check_rho, _to_count
 from .mechanism import noise_energy
 from .rng import make_rng
 from .smoothing import SampleSet, SmootherConfig, penalized_mean
 from .spectral import DEFAULT_TRUNCATION_TOL, kernel_basis
-
-
-def _check_folds(folds) -> None:
-    """Refuse a fold count that is not a whole number of at least two."""
-    if not _to_float(folds, "folds").is_integer():
-        raise ValueError(f"fold count must be a whole number, got {folds}")
-    if folds < 2:
-        raise ValueError("need at least two folds")
 
 
 @dataclass(frozen=True)
@@ -56,14 +48,14 @@ class SelectionGrid:
                 raise ValueError(f"{name} grid must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} grid must be strictly increasing")
-        _check_folds(self.folds)
         object.__setattr__(self, "phi_values", phi)
         object.__setattr__(self, "rho_values", rho)
+        object.__setattr__(self, "folds", _to_count(self.folds, "fold count folds", 2))
 
 
 def fold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Deterministic seeded partition of range(n) into folds of near-equal size."""
-    _check_folds(folds)
+    n, folds = _to_count(n, "sample size n", 1), _to_count(folds, "fold count folds", 2)
     if folds > n:
         raise ValueError(f"cannot split {n} curves into {folds} folds")
     perm = make_rng(seed).permutation(n)
@@ -160,7 +152,7 @@ def pcv_score(
                                  for cfg in cfgs]
             errors += energies[key]
         total += errors
-    scores = total / folds
+    scores = total / len(parts)
     return float(scores[0]) if np.ndim(phi) == 0 else scores
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Curve, Grid, _to_float
+from .kernels import Curve, Grid, _to_count, _to_float, _to_whole
 from .rng import make_rng
 from .smoothing import SampleSet
 from .spectral import SpectralBasis
@@ -18,7 +18,7 @@ DEFAULT_SCORE_HALFWIDTH = 0.4
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Sample size, score decay exponent p > 1, mean, score range, and seed.
+    """Sample size, score decay exponent p > 1, mean, score range, and whole-number seed.
 
     mean is a name from MEAN_NAMES or a Curve on the basis grid.  Scores
     multiplying mode j decay like j^(-p/2); p must exceed 1 or the curves
@@ -32,10 +32,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _to_float(self.n, "n").is_integer():
-            raise ValueError(f"sample size must be a whole number, got {self.n}")
-        if self.n < 1:
-            raise ValueError("sample size must be at least 1")
+        n = _to_count(self.n, "sample size n", 1)
         p, halfwidth = _to_float(self.p, "p"), _to_float(self.score_halfwidth, "score_halfwidth")
         if not (math.isfinite(p) and p > 1.0):
             raise ValueError("score decay exponent p must be strictly larger than 1")
@@ -43,9 +40,10 @@ class SimConfig:
             raise ValueError("score halfwidth must be positive")
         if isinstance(self.mean, str) and self.mean not in MEAN_NAMES:
             raise ValueError(f"unknown mean name {self.mean!r}; choose from {MEAN_NAMES}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "score_halfwidth", halfwidth)
+        object.__setattr__(self, "seed", _to_whole(self.seed, "seed"))
 
 
 def default_mean(name: str, grid: Grid) -> Curve:

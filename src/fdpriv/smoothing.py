@@ -36,6 +36,16 @@ class SmootherConfig:
         object.__setattr__(self, "eta", eta)
 
 
+def _check_tau(value) -> float:
+    """The one tau rule: a norm bound as a float, finite and non-negative with a finite square."""
+    tau = _to_float(value, "tau")
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be a finite non-negative bound, got {tau}")
+    if not math.isfinite(tau * tau):
+        raise ValueError(f"tau={tau} is too large: its square overflows")
+    return tau
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """N curves on a common grid together with a bound tau on their L2 norms.
@@ -44,10 +54,11 @@ class SampleSet:
     row i being curve i; a set is built from such an array, directly or
     through :meth:`from_values`, and read back through ``values``.  tau is
     the quantity sensitivity bounds scale with.  By default (tau None) it is
-    recomputed from the data as the largest realized norm, which is itself
-    mildly disclosive; pass an explicit tau to bound the data a priori
-    instead.  Curves whose squared norms overflow, and nonzero curves whose
-    norms underflow to a tau of 0, are refused.
+    recomputed from the data as the largest realized norm.  That bound moves
+    with the records it protects, so a release calibrated with it carries no
+    (epsilon, delta) guarantee; only a tau stated a priori gives one.  Curves
+    whose squared norms overflow, and nonzero curves whose norms underflow to
+    a tau of 0, are refused.
     The mean curve ``mean`` is computed on first access and kept, so every
     fit of one set, such as a cross-validation fold's training set scored at
     several penalties, reads the same mean.
@@ -70,13 +81,10 @@ class SampleSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("curve values must be finite")
-        with np.errstate(over="ignore"):
-            largest = float(np.sqrt(self.grid.norm_sq(values)).max())
+        largest = float(np.sqrt(self.grid.norm_sq(values)).max())
         if largest == math.inf:
             raise ValueError("a curve's squared norm is not a finite float; rescale the curves")
-        tau = largest if self.tau is None else _to_float(self.tau, "tau")
-        if not (math.isfinite(tau) and tau >= 0.0):
-            raise ValueError("tau must be a finite non-negative bound")
+        tau = largest if self.tau is None else _check_tau(self.tau)
         if largest > tau:
             raise ValueError("a curve exceeds the stated norm bound tau")
         if tau == 0.0 and np.any(values):

@@ -29,10 +29,10 @@ routes (split and full) form the M x M Gram matrix.
   eigenvalues are those of S to within 1e-14 lambda_max plus round-off.  A
   QR of the M x r factor and an r x r eigh then give the eigenpairs.  The
   route gives up once r would pass the budget M / _LOW_RANK_RANK_SHARE, and
-  at a quarter and at half of that budget if the trace's decay over the last
-  half of its steps, kept up for the rest of the budget, would not reach the
-  stop: the Matern and exponential kernels keep most of their modes, so they
-  take a dense route.
+  at 2/8, 4/8, 5/8 and 6/8 of that budget if the trace's decay over the
+  last half of its steps, kept up for the rest of the budget, would not
+  reach the stop: the Matern and exponential kernels keep most of their
+  modes, so they take a dense route.
 * Split.  Every kernel family is stationary, so on a grid symmetric about
   its midpoint (uniform grids, and any grid whose points and weights
   mirror) S is centrosymmetric: J S J = S with J the exchange matrix.  When
@@ -189,6 +189,7 @@ def _low_rank_eigh(
     factor = np.empty((budget, m))  # row k is column k of L / sqrt(tr S)
     scales = np.empty(budget)
     lam_low, residual, traces = 0.0, 1.0, []
+    checkpoints = {budget * eighths // 8 for eighths in (2, 4, 5, 6)}
     for k in range(budget):
         p = int(np.argmax(resid))
         if not resid[p] > 0.0:  # nothing left to pivot on, yet no certificate
@@ -207,7 +208,7 @@ def _low_rank_eigh(
             break
         traces.append(residual)
         n = k + 1
-        if n in (budget // 4, budget // 2):  # would the last n/2 steps' decay, kept up, get there?
+        if n in checkpoints:  # would the last n/2 steps' decay, kept up, get there?
             earlier = traces[n // 2 - 1]
             if not (goal > 0.0 and earlier > 0.0
                     and residual * (residual / earlier) ** (2.0 * (budget - n) / n) <= goal):

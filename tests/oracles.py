@@ -27,7 +27,6 @@ from fdpriv import (
     noise_energy,
     shrinkage_factors,
 )
-from fdpriv.calibration import _validate_gs_args
 from fdpriv.rng import make_rng
 
 _MASK64 = (1 << 64) - 1
@@ -70,7 +69,7 @@ def gs_sup_maximizer(phi: float, eta: float) -> float:
     The maximum sits at x* = (phi (2 eta - 1))^(1/eta); plugging it into f
     reproduces the closed-form bound.
     """
-    _validate_gs_args(phi, eta, 0.0, 1)
+    SmootherConfig(phi, eta)  # the bounds' own refusals of phi and eta
     return (phi * (2.0 * eta - 1.0)) ** (1.0 / eta)
 
 

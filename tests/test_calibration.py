@@ -10,6 +10,7 @@ from fdpriv import (
     KernelSpec,
     PrivacyBudget,
     PrivacyRefusalError,
+    SampleSet,
     SpectralBasis,
     calibrate,
     cm_norm_sq,
@@ -17,8 +18,11 @@ from fdpriv import (
     gs_exact_bound,
     kernel_basis,
     noise_scale,
+    release_function,
+    reconstruct,
     uniform_grid,
 )
+from fdpriv.io import read_meta, write_meta
 
 from conftest import toy_basis, two_point_basis
 from oracles import gs_sup_maximizer, projection_quadratic_form
@@ -51,6 +55,19 @@ def test_budget_validation():
     PrivacyBudget(1e-150, 0.1)  # the multiplier is large but finite
     with pytest.raises(ValueError, match="epsilon is too large to be represented as a float"):
         PrivacyBudget(10**400, 0.1)
+
+
+@pytest.mark.parametrize("epsilon,delta", [(True, 0.1), ("1", 0.1), (1.0, "0.1"),
+                                           (np.float32(0.5), np.float32(0.1))])
+def test_budget_stores_its_checked_floats(epsilon, delta, tmp_path):
+    budget = PrivacyBudget(epsilon, delta)
+    assert (budget.epsilon, budget.delta) == (float(epsilon), float(delta))
+    assert type(budget.epsilon) is float and type(budget.delta) is float
+    basis = toy_basis()
+    calib = calibrate(basis, 0.1, 1.0, 1.0, 5, budget)
+    release = release_function(reconstruct(np.zeros(basis.m), basis), basis, calib, 0)
+    write_meta(tmp_path / "r.meta", release.meta.as_dict())
+    assert read_meta(tmp_path / "r.meta")["epsilon"] == repr(float(epsilon))
 
 
 def test_gs_exact_single_eigenvalue():
@@ -229,6 +246,8 @@ def test_projection_quadratic_form_equality_for_full_rank():
     (0.1, 1.0, math.nan, 5, "tau"),
     (0.1, 1.0, 1.0, 0, "sample size"),
     (0.1, 1.0, 1.0, math.nan, "sample size"),
+    (0.1, 1.0, 1.0, 2.5, "sample size n must be a whole number, got 2.5"),
+    (0.1, 1.0, math.inf, 5, "tau must be a finite non-negative bound, got inf"),
     (10**400, 1.0, 1.0, 5, "phi is too large to be represented"),
     (0.1, 10**400, 1.0, 5, "eta is too large to be represented"),
     (0.1, 1.0, 10**400, 5, "tau is too large to be represented"),
@@ -243,6 +262,28 @@ def test_projection_quadratic_form_equality_for_full_rank():
 def test_sensitivity_inputs_are_refused(bound, phi, eta, tau, n, match):
     with pytest.raises(ValueError, match=match):
         bound(phi, eta, tau, n)
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf, 1e200])
+def test_sample_set_and_calibrate_refuse_a_tau_with_one_message(tau):
+    with pytest.raises(ValueError) as stated:
+        SampleSet(np.zeros((2, 8)), uniform_grid(8), tau)
+    with pytest.raises(ValueError) as calibrated:
+        calibrate(toy_basis(), 0.1, 1.0, tau, 5, PrivacyBudget(1.0, 0.1))
+    assert str(stated.value) == str(calibrated.value)
+
+
+def test_bounds_compute_and_record_the_checked_values():
+    basis, budget = toy_basis(), PrivacyBudget(1.0, 0.1)
+    phi = np.float32(0.1)
+    closed = gs_closed_bound(phi, 1.0, 1.0, 5)
+    assert type(closed) is float and closed == gs_closed_bound(float(phi), 1.0, 1.0, 5)
+    for method in GS_METHODS:
+        calib = calibrate(basis, phi, np.float32(1.5), 3, 25.0, budget, method)
+        assert calib == calibrate(basis, float(phi), 1.5, 3.0, 25, budget, method)
+        assert [type(v) for v in (calib.phi, calib.eta, calib.tau, calib.n)] == [
+            float, float, float, int]
+    assert gs_exact_bound(basis, 0.1, 1.0, 1.0, 2.0) == gs_exact_bound(basis, 0.1, 1.0, 1.0, 2)
 
 
 @pytest.mark.parametrize("method", GS_METHODS)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fdpriv.cli
 from fdpriv import (
     KernelSpec,
     PrivacyBudget,
@@ -419,6 +420,43 @@ def test_audit_refuses_multi_curve_summary_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert str(sample) in err and "25 curves" in err
         assert not report.exists()
+
+
+def test_audit_refuses_summaries_on_different_grids(tmp_path, capsys):
+    paths = []
+    for m in (30, 31):
+        sample, smooth = tmp_path / f"sample{m}.csv", tmp_path / f"smooth{m}.csv"
+        assert run("simulate", "--n", "5", "--grid-points", str(m), "--rho", "0.05",
+                   "--output", str(sample)) == 0
+        assert run("smooth", "--input", str(sample), "--rho", "0.05",
+                   "--output", str(smooth)) == 0
+        paths.append(str(smooth))
+    report = tmp_path / "audit.txt"
+    assert run("audit", "--theta-d", paths[0], "--theta-dp", paths[1], "--rho", "0.05",
+               "--output", str(report)) == 2
+    assert "theta curves live on different grids" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_allocation_failure_is_config_error(tmp_path, capsys, monkeypatch):
+    def refuse(m):
+        raise MemoryError(f"Unable to allocate an array for {m} points")
+
+    monkeypatch.setattr(fdpriv.cli, "uniform_grid", refuse)
+    out = tmp_path / "D.csv"
+    assert run("simulate", "--grid-points", "99999999999", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate an array for 99999999999 points\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-3", "1" + "0" * 400])
+def test_simulate_takes_any_whole_seed_by_its_low_64_bits(tmp_path, seed):
+    outs = [tmp_path / "given.csv", tmp_path / "low_bits.csv"]
+    for value, out in zip((seed, str(int(seed) % 2**64)), outs):
+        assert run("simulate", "--n", "3", "--grid-points", "20", "--seed", value,
+                   "--output", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cv_single_candidate_echoed(tmp_path):

@@ -153,3 +153,5 @@ def test_meta_round_trip_and_key_order(tmp_path):
                      "zeta=1.5"]
     parsed = read_meta(path)
     assert parsed["zeta"] == "1.5" and parsed["flag"] == "true"
+    path.write_text("\n".join(["", *lines, "", ""]), encoding="utf-8")  # blank lines are skipped
+    assert read_meta(path) == parsed

@@ -21,6 +21,18 @@ def test_uniform_grid_weights_are_one_over_m():
     assert grid.size == 100
     assert np.all(grid.weights == 1.0 / 100)
     assert grid.points[0] == 0.0 and grid.points[-1] == 1.0
+    assert uniform_grid(3.0).matches(uniform_grid(3))  # a whole-valued float is its int
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: uniform_grid(1), "uniform grid size m must be at least 2"),
+    (lambda: uniform_grid(2.5), "uniform grid size m must be a whole number"),
+    (lambda: uniform_grid(10**400), "m is too large to be represented as a float"),
+    (lambda: grid_from_points([0.5]), "need at least two grid points"),
+], ids=["uniform-one-point", "uniform-fractional", "uniform-huge", "from-one-point"])
+def test_grid_builders_refuse_fewer_than_two_whole_points(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_grid_from_points_trapezoid_for_nonuniform():
@@ -54,6 +66,14 @@ def test_norm_sq_is_the_weighted_sum_along_the_last_axis():
         for j in range(3):
             assert got[i, j] == np.sum(grid.weights * stack[i, j] ** 2)
             assert math.sqrt(got[i, j]) == Curve(stack[i, j], grid).norm()
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_sq_past_the_float_range_is_inf_without_a_warning():
+    grid = uniform_grid(20)
+    assert Curve(1e160 * np.ones(20), grid).norm() == math.inf
+    small, large = grid.norm_sq(np.array([np.ones(20), 1e160 * np.ones(20)]))
+    assert small == pytest.approx(1.0) and large == math.inf
 
 
 @pytest.mark.parametrize(

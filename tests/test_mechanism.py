@@ -511,6 +511,15 @@ def test_dp_audit_refuses_non_whole_sample_count(n_samples):
     assert report.n_samples == 10_001 and report.empirical_violation_rate > 0.0
 
 
+def test_dp_audit_records_its_checked_sigma_sq():
+    basis = toy_basis()
+    centers = (reconstruct(np.array([0.4, 0.0, 0.0, 0.0, 0.0]), basis),
+               reconstruct(np.zeros(basis.m), basis))
+    report = dp_audit(*centers, basis, BUDGET, np.float32(0.05), 10_000)
+    assert type(report.sigma_sq) is float and report == dp_audit(
+        *centers, basis, BUDGET, float(np.float32(0.05)), 10_000)
+
+
 def test_dp_audit_memory_does_not_grow_with_samples():
     # numpy reports its buffers to tracemalloc.  The audit holds one block
     # buffer at any sample count, where drawing all of the larger audit's

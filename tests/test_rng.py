@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from fdpriv import PrivacyBudget, cm_norm_sq, dp_audit, noise_scale, reconstruct
 from fdpriv.rng import make_rng
@@ -27,6 +30,19 @@ def test_make_rng_first_draws_are_pinned():
     for seed, (normals, uniforms) in GOLDEN.items():
         assert tuple(x.hex() for x in make_rng(seed).standard_normal(3)) == normals
         assert tuple(x.hex() for x in make_rng(seed).uniform(size=3)) == uniforms
+
+
+@pytest.mark.parametrize("seed,same_as", [
+    (2.0, 2), (np.int64(5), 5), (-3, 2**64 - 3), (10**400, 10**400 % 2**64),
+], ids=["whole-float", "numpy-int", "negative", "401-digit"])
+def test_every_whole_seed_draws_the_stream_of_its_low_64_bits(seed, same_as):
+    assert np.array_equal(make_rng(seed).standard_normal(4), make_rng(same_as).standard_normal(4))
+
+
+@pytest.mark.parametrize("seed", [2.7, -0.5, math.nan, math.inf, "2.5"])
+def test_make_rng_refuses_a_seed_that_is_not_a_whole_number(seed):
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        make_rng(seed)
 
 
 def test_audit_report_is_pinned():

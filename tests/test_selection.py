@@ -74,6 +74,23 @@ def test_fractional_fold_count_is_refused():
         SelectionGrid((0.1,), (0.1,), folds=2.5)
     assert cv_score(data, KernelSpec("gaussian", 0.05), 0.1, folds=2.0) == cv_score(
         data, KernelSpec("gaussian", 0.05), 0.1, folds=2)
+    grid = SelectionGrid((0.1,), (0.1,), folds=3.0)
+    assert grid.folds == 3 and type(grid.folds) is int
+
+
+@pytest.mark.parametrize("n,seed,match", [
+    (10.5, 0, "sample size n must be a whole number"),
+    (0, 0, "sample size n must be at least 1"),
+    (10, 2.7, "seed must be a whole number"),
+])
+def test_fold_partition_refuses_a_count_or_seed_that_is_not_whole(n, seed, match):
+    with pytest.raises(ValueError, match=match):
+        fold_partition(n, 2, seed)
+
+
+def test_fold_partition_takes_a_whole_valued_float_sample_size():
+    assert all(np.array_equal(a, b)
+               for a, b in zip(fold_partition(10.0, 2, 0), fold_partition(10, 2, 0)))
 
 
 def test_fold_partition_properties():

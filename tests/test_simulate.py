@@ -19,6 +19,10 @@ def test_sim_config_validation():
         SimConfig(0)
     with pytest.raises(ValueError, match="whole number"):
         SimConfig(2.5)  # would silently become 2 curves
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        SimConfig(5, seed=2.5)  # would silently draw seed 2's stream
+    cfg = SimConfig(3.0, seed=4.0)
+    assert (cfg.n, cfg.seed) == (3, 4) and type(cfg.n) is int and type(cfg.seed) is int
     with pytest.raises(ValueError):
         SimConfig(5, p=1.0)  # p must exceed 1
     with pytest.raises(ValueError):

@@ -327,10 +327,18 @@ def test_abandoned_low_rank_kernel_basis_forms_the_gram_matrix_once(monkeypatch)
     assert 0 < len(requests) - 1 <= grid.size // 16
 
 
+def test_low_rank_route_gives_up_at_its_first_failed_decay_check(monkeypatch):
+    # Matern 5/2 at rho = 1 passes the checks at 2/8 and 4/8 of the rank
+    # budget M / 4 = 250 and fails the one at 5/8, so it reads 156 rows, not 250.
+    requests = record_gram_requests(monkeypatch)
+    kernel_basis(KernelSpec("matern52", 1.0), uniform_grid(1000))
+    assert len(requests) - 1 == 5 * 250 // 8 and requests[-1] is None
+
+
 def test_low_rank_route_that_reaches_its_rank_budget_gives_the_dense_basis(monkeypatch):
-    # Matern 5/2 at rho = 1 passes both decay checks, so the route reads a
+    # Matern 5/2 at rho = 1.72 passes every decay check, so the route reads a
     # row per step up to its whole budget of M / 4 before it gives up.
-    spec, grid = KernelSpec("matern52", 1.0), uniform_grid(1000)
+    spec, grid = KernelSpec("matern52", 1.72), uniform_grid(1000)
     requests = record_gram_requests(monkeypatch)
     basis = kernel_basis(spec, grid)
     *rows, full = requests
