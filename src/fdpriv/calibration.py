@@ -134,7 +134,7 @@ def gs_closed_bound(phi: float, eta: float, tau: float, n: int) -> float:
 def noise_scale(budget: PrivacyBudget, delta_sq: float) -> float:
     """Minimal compliant noise variance 2 log(2/delta) / epsilon^2 * delta_sq."""
     delta_sq = _to_float(delta_sq, "delta_sq")
-    if delta_sq < 0.0:
+    if not delta_sq >= 0.0:
         raise ValueError("delta_sq must be non-negative")
     return _noise_multiplier(budget.epsilon, budget.delta) * delta_sq
 

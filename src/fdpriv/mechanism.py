@@ -10,13 +10,15 @@ distribution induced by one dataset, the log density ratio against an
 adjacent dataset may exceed epsilon with probability at most delta.  That
 ratio, the privacy loss, is exactly N(mu, 2 mu) with mu = D^2 / (2 sigma^2),
 D the pair's Cameron-Martin distance (Balle & Wang, ICML 2018); the auditor
-samples that law in one dimension and reports its exact tail beside the
-Monte-Carlo rate.
+samples that law in one dimension, compares each standard normal with one
+precomputed cut that gives exactly the loss's float comparison with epsilon,
+and reports the law's exact tail beside the Monte-Carlo rate.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -63,7 +65,9 @@ class AuditReport:
     """Empirical check of the (epsilon, delta) tail bound by Monte Carlo.
 
     empirical_violation_rate is the share of n_samples privacy losses above
-    epsilon, drawn by ``dp_audit`` as mirrored pairs mu + t and mu - t.
+    epsilon, drawn by ``dp_audit`` as mirrored pairs mu + t and mu - t and
+    counted by comparing each draw's standard normal with one cut, which
+    gives the same counts as comparing the float losses with epsilon.
     exact_violation_rate is the tail those draws estimate: P(L > epsilon) for
     the exact loss L ~ N(mu, 2 mu), 0.5 erfc((epsilon - mu) / (2 sqrt(mu))),
     and 0.0 at mu = 0, where the loss is identically zero.
@@ -140,6 +144,33 @@ def release_function(
     return SanitizedRelease(meta, released)
 
 
+def _float_at(rank: int) -> float:
+    """The float64 of this rank in the float order: 0.0 at 0, the k-th above (below) at k (-k)."""
+    bits = rank if rank >= 0 else -(1 << 63) - rank
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _loss_cut(mu: float, scale: float, epsilon: float) -> float:
+    """The largest float64 u at which mu + u * scale, in float arithmetic, is not above epsilon.
+
+    That test is monotone in u (``dp_audit`` shows why), so bisecting the
+    ranks of the float64 values finds u in at most 64 evaluations.  Python
+    float arithmetic rounds each product and sum as numpy's elementwise
+    multiply and add do; neither fuses them into an FMA.  The test is false at
+    -inf (-inf * scale is -inf, or NaN at scale = 0), where the bisection
+    starts; +inf stands in for the first u where it is true, so at scale = 0,
+    where it is false everywhere, u is the largest finite float.
+    """
+    lo, hi = -(0x7FF << 52), 0x7FF << 52  # the ranks of -inf and +inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mu + _float_at(mid) * scale > epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(lo)
+
+
 def dp_audit(
     theta_d: Curve,
     theta_dp: Curve,
@@ -173,6 +204,15 @@ def dp_audit(
     stays an upper bound).  ceil(n_samples / 2) draws are made and the first
     floor(n_samples / 2) are mirrored, so at odd n_samples an audit at
     n_samples + 1 scores the same draws plus one mirror.
+
+    Neither loss is formed.  With s = sqrt(2 mu) and z the standard normal,
+    the loss mu + t exceeds epsilon in float arithmetic, fl(mu + fl(z s)) >
+    epsilon, exactly when z > u for one float u computed once per audit: the
+    test is monotone in z, because both roundings are.  IEEE rounding is
+    symmetric in sign and mu - x is exactly mu + (-x), so
+    fl(mu - fl(z s)) = fl(mu + fl((-z) s)) and the mirror exceeds epsilon
+    exactly when z < -u.  Each draw is therefore compared with the cut, and
+    the counts equal those of forming mu + t and mu - t.
 
     Identical summaries at a stated sigma_sq, or a D^2 / (2 sigma_sq) that
     underflows, give mu = 0: every loss is zero and both rates are 0.0.
@@ -210,15 +250,13 @@ def dp_audit(
     exact = 0.5 * math.erfc((budget.epsilon - mu) / (2.0 * math.sqrt(mu))) if mu > 0.0 else 0.0
 
     draws, mirrored = -(-n_samples // 2), n_samples // 2
-    scale = math.sqrt(2.0 * mu)  # the standard deviation of t
+    cut = _loss_cut(mu, math.sqrt(2.0 * mu), budget.epsilon)
     rng = make_rng(seed)
     buf = np.empty(min(_AUDIT_BLOCK_VALUES, draws))
     total = 0
     for start in range(0, draws, buf.size):
-        t = rng.standard_normal(out=buf[: draws - start])
-        t *= scale
-        total += int(np.count_nonzero(mu + t > budget.epsilon)
-                     + np.count_nonzero(mu - t[: mirrored - start] > budget.epsilon))
+        z = rng.standard_normal(out=buf[: draws - start])
+        total += int(np.count_nonzero(z > cut) + np.count_nonzero(z[: mirrored - start] < -cut))
     rate = total / n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / n_samples)
     return AuditReport(

@@ -467,6 +467,54 @@ def test_dp_audit_matches_serial_oracle_across_chunks(monkeypatch, block_values)
         assert report.empirical_violation_rate == expected / n
 
 
+_CUT_MUS = {
+    "zero": lambda eps: 0.0,
+    "subnormal": lambda eps: 5e-324,
+    "1e-300": lambda eps: 1e-300,
+    "1e-12": lambda eps: 1e-12,
+    "eps_below": lambda eps: eps * (1.0 - 2.0**-52),
+    "eps_above": lambda eps: eps * (1.0 + 2.0**-52),
+    "next_below": lambda eps: math.nextafter(eps, -math.inf),
+    "next_above": lambda eps: math.nextafter(eps, math.inf),
+    "eps": lambda eps: eps,
+    "10": lambda eps: 10.0,
+    "1e10": lambda eps: 1e10,
+    "1e300": lambda eps: 1e300,
+}
+
+
+@pytest.mark.parametrize("mu_at", _CUT_MUS.values(), ids=_CUT_MUS.keys())
+@pytest.mark.parametrize("epsilon", [0.01, 0.5, 1.0])
+def test_dp_audit_loss_cut_is_the_float_loss_comparison(epsilon, mu_at):
+    # The audit counts z > u and, for mirrors, z < -u instead of forming the
+    # losses mu + t and mu - t, t = z * scale, in float64 and comparing them
+    # with epsilon.  u must be the last float at which mu + t stays at or
+    # below epsilon in numpy's own arithmetic, and the counts must agree.
+    mu = mu_at(epsilon)
+    scale = math.sqrt(2.0 * mu)
+    cut = mechanism._loss_cut(mu, scale, epsilon)
+
+    def exceeds(z):
+        t = np.array(z, dtype=float)
+        t *= scale
+        return mu + t > epsilon
+
+    if mu == 0.0:
+        assert cut == np.finfo(float).max
+        assert not exceeds([-np.finfo(float).max, cut]).any()
+    else:
+        assert exceeds([cut, math.nextafter(cut, math.inf)]).tolist() == [False, True]
+    for seed in range(3):
+        for n in (20_001, 20_000):
+            t = make_rng(seed).standard_normal(-(-n // 2))
+            z = t.copy()
+            t *= scale
+            mirrored = n // 2
+            formed = np.count_nonzero(mu + t > epsilon) + np.count_nonzero(
+                mu - t[:mirrored] > epsilon)
+            assert np.count_nonzero(z > cut) + np.count_nonzero(z[:mirrored] < -cut) == formed
+
+
 def test_dp_audit_loss_draw_is_the_release_noise_on_the_loss_line():
     # The audit draws t = z . slope directly as N(0, 2 mu), slope the shift
     # over lambda sigma_sq.  Form t from the noise a release adds instead, one
@@ -522,8 +570,9 @@ def test_dp_audit_records_its_checked_sigma_sq():
 
 def test_dp_audit_memory_does_not_grow_with_samples():
     # numpy reports its buffers to tracemalloc.  The audit holds one block
-    # buffer at any sample count, where drawing all of the larger audit's
-    # normals at once would take 10 MB.
+    # buffer (1 MiB) and one comparison mask (1/8 of it) at any sample count.
+    # Drawing all of the larger audit's normals at once would take 10 MB, and
+    # forming the losses mu + t and mu - t would add one more block.
     basis, cd, cdp, sigma_sq, _ = _audit_case()
     centers = (reconstruct(cd, basis), reconstruct(cdp, basis))
     dp_audit(*centers, basis, BUDGET, sigma_sq, 20_000)  # first-call imports stay untraced
@@ -537,4 +586,4 @@ def test_dp_audit_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[10 * one_block] <= peaks[one_block] + 2**16
-    assert peaks[10 * one_block] < 4 * 2**20
+    assert peaks[10 * one_block] < 1.5 * 2**20
