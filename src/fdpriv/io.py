@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .kernels import Grid, grid_from_points
+from .kernels import Grid, _to_float_array, grid_from_points
 
 
 class CsvFormatError(ValueError):
@@ -45,7 +45,7 @@ def _format_cell(value) -> str:
 
 def write_curves_csv(path, grid: Grid, rows) -> None:
     """Write grid points and curve rows in the curve CSV dialect."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = np.atleast_2d(_to_float_array(rows, "rows"))
     if rows.shape[1] != grid.size:
         raise ValueError("curve rows do not match the grid size")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -46,12 +46,19 @@ def _to_count(value, name: str, minimum: int) -> int:
 
 
 def _to_float_array(values, name: str) -> np.ndarray:
-    """A float copy of an array argument, refusing an entry too large for a float
-    with a ValueError naming the argument, as ``_to_float`` does for scalars."""
+    """A read-only float copy of an array argument; the one array rule.
+
+    Refuses an entry too large for a float, as ``_to_float`` does for
+    scalars, or a NaN or infinite one, with a ValueError naming the argument.
+    """
     try:
-        return np.array(values, dtype=float)
+        array = np.array(values, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} has an entry too large to be represented as a float") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +80,12 @@ class Grid:
             raise ValueError("grid needs at least two points")
         if weights.shape != points.shape:
             raise ValueError("points and weights must have the same length")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
-            raise ValueError("grid entries must be finite")
         if np.any(np.diff(points) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
         if points[0] < 0.0 or points[-1] > 1.0:
             raise ValueError("grid points must lie in [0, 1]")
         if np.any(weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
-        points.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -144,9 +147,6 @@ class Curve:
             raise ValueError(
                 f"curve has {values.size} values for a {self.grid.size}-point grid"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def norm(self) -> float:

@@ -192,6 +192,10 @@ def dp_audit(
     argument order: pass the summaries swapped to audit the opposite
     direction.
 
+    At the default sigma_sq, mu is epsilon^2 / (4 ln(2/delta)) for every
+    pair, so the audit cannot catch a calibration bug; to check a release's
+    calibration, pass the sigma_sq that release used.
+
     The log density ratio at the release cd + z is mu + t, with
     mu = D^2 / (2 sigma_sq) and t = z . shift / (lambda sigma_sq) linear in
     the noise z = sigma * sqrt(lambda) * xi, so t is exactly N(0, 2 mu).  The

@@ -79,8 +79,6 @@ class SampleSet:
             raise ValueError(
                 f"curves have {values.shape[1]} values for a {self.grid.size}-point grid"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
         largest = float(np.sqrt(self.grid.norm_sq(values)).max())
         if largest == math.inf:
             raise ValueError("a curve's squared norm is not a finite float; rescale the curves")
@@ -90,7 +88,6 @@ class SampleSet:
         if tau == 0.0 and np.any(values):
             raise ValueError("the curves are nonzero but their norms underflow to 0, "
                              "so tau=0.0 bounds nothing; rescale them")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_tau_stated", self.tau is not None)
         object.__setattr__(self, "tau", tau)

@@ -91,8 +91,8 @@ class SpectralBasis:
         lam = _to_float_array(self.eigenvalues, "eigenvalues")
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("need at least one eigenvalue")
-        if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
-            raise ValueError("eigenvalues must be positive and finite")
+        if np.any(lam <= 0.0):
+            raise ValueError("eigenvalues must be positive")
         if np.any(np.diff(lam) > 0.0):
             raise ValueError("eigenvalues must be non-increasing")
         if lam.size > self.grid.size:
@@ -102,14 +102,10 @@ class SpectralBasis:
             raise ValueError("eigenvalue/eigenfunction count mismatch")
         if matrix.shape[0] != self.grid.size:
             raise ValueError("eigenfunctions must live on the basis grid")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("eigenfunction values must be finite")
         u = np.sqrt(self.grid.weights)[:, None] * matrix
         overlap = u.T @ u  # V^T W V, by the symmetric product u^T u that numpy runs as one syrk
         if np.max(np.abs(overlap - np.eye(lam.size))) > 1e-8:
             raise ValueError("eigenfunctions are not orthonormal under the grid weights")
-        lam.setflags(write=False)
-        matrix.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "matrix", matrix)
 
@@ -315,7 +311,8 @@ def compatibility_check(x: Curve, basis: SpectralBasis) -> CompatibilityReport:
 
     A summary failing this check cannot be privatized by noise drawn from this
     basis at any scale, so release operations refuse it outright.  The check
-    itself never raises; it reports.  It runs on the curve scaled by the power
+    reports rather than raises, except for a curve on another grid than the
+    basis's, which is a ValueError.  It runs on the curve scaled by the power
     of two that puts its largest entry in [0.5, 1), which is exact, so the
     verdict and share are the curve's own and no square overflows.
     """

@@ -136,6 +136,8 @@ def test_sample_set_from_values_validates_rows():
         SampleSet.from_values(values, grid, tau=0.5 * max(norms))
     with pytest.raises(ValueError):  # no rows
         SampleSet.from_values(np.empty((0, 8)), grid)
+    with pytest.raises(ValueError, match=r"sample values must be an \(N, M\) array"):
+        SampleSet.from_values(values[None], grid)
 
 
 def test_sample_set_mean_is_computed_once_and_read_only():

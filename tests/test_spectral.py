@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fdpriv import (
     spectral,
     uniform_grid,
 )
+from fdpriv.io import write_curves_csv
 
 from conftest import toy_basis, two_point_basis
 from oracles import k_gram
@@ -403,9 +405,25 @@ def test_spectral_basis_refuses_an_integer_too_large_for_a_float(eigenvalues, ma
     (lambda basis: reconstruct([10**400] + [0] * (basis.m - 1), basis), "coefficients"),
     (lambda basis: cm_norm_sq([10**400] + [0] * (basis.m - 1), basis), "coefficients"),
     (lambda basis: noise_scale(PrivacyBudget(1.0, 0.1), 10**400), "delta_sq"),
-], ids=["grid_from_points", "reconstruct", "cm_norm_sq", "noise_scale"])
+    (lambda basis: write_curves_csv(os.devnull, basis.grid,
+                                    [[10**400] + [0] * (basis.grid.size - 1)]), "rows"),
+], ids=["grid_from_points", "reconstruct", "cm_norm_sq", "noise_scale", "write_curves_csv"])
 def test_array_and_scalar_arguments_refuse_an_integer_too_large_for_a_float(call, name):
     with pytest.raises(ValueError, match=f"{name} .*too large to be represented"):
+        call(toy_basis())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,name", [
+    (lambda basis: reconstruct([math.inf] + [0.0] * (basis.m - 1), basis), "coefficients"),
+    (lambda basis: cm_norm_sq([math.nan] + [0.0] * (basis.m - 1), basis), "coefficients"),
+    (lambda basis: write_curves_csv(os.devnull, basis.grid,
+                                    [[math.nan] + [0.0] * (basis.grid.size - 1)]), "rows"),
+    (lambda basis: SpectralBasis(basis.eigenvalues, np.full_like(basis.matrix, math.nan),
+                                 basis.grid), "matrix"),
+], ids=["reconstruct", "cm_norm_sq", "write_curves_csv", "spectral_basis"])
+def test_array_arguments_refuse_an_entry_that_is_not_finite(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         call(toy_basis())
 
 
@@ -427,6 +445,10 @@ def test_basis_construction_rejects_bad_inputs():
         SpectralBasis(np.array([0.5]), good, grid)
     with pytest.raises(ValueError):  # columns sampled on a 3-point grid
         SpectralBasis(np.array([0.5]), np.ones((3, 1)), grid)
+    with pytest.raises(ValueError, match="need at least one eigenvalue"):
+        SpectralBasis(np.array([]), np.empty((2, 0)), grid)
+    with pytest.raises(ValueError, match="more eigenpairs than grid points"):
+        SpectralBasis(np.array([0.5, 0.25, 0.125]), np.ones((2, 3)), grid)
 
 
 def test_coefficients_orthonormality():
@@ -518,6 +540,8 @@ def test_compatibility_check_in_span():
     assert report.residual_fraction <= 1e-20
     zero = Curve(np.zeros(basis.grid.size), basis.grid)
     assert compatibility_check(zero, basis).compatible
+    with pytest.raises(ValueError, match="curve grid does not match the basis grid"):
+        compatibility_check(Curve(np.ones(10), uniform_grid(10)), basis)
 
 
 def test_compatibility_check_detects_off_span():
