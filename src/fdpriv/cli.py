@@ -10,15 +10,17 @@ failure.  Every output is a CSV or key=value file that reruns
 byte-identically from the same flags and seed.
 Every sidecar comes from ``_write_sidecar``: ``command``, the basis ``tol``,
 each option the command read under its argparse dest except the file paths,
-then the command's outputs (for ``release`` and ``projections`` the
-``ReleaseMeta`` fields), which win on a clash.  ``--phi-grid`` and
-``--rho-grid`` are sorted and refused with a repeated value while parsing.
+then the command's outputs (the ``ReleaseMeta`` fields for ``release`` and
+``projections``, the ``AuditReport`` fields for ``audit``, ``passed`` written
+as ``pass``), which win on a clash.  ``--phi-grid`` and ``--rho-grid`` are
+sorted and refused with a repeated value while parsing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -209,11 +211,9 @@ def cmd_audit(args) -> None:
     basis = _basis(args, theta_d.grid)
     budget = PrivacyBudget(args.epsilon, args.delta)
     report = dp_audit(theta_d, theta_dp, basis, budget, args.sigma_sq, args.n_samples, args.seed)
-    _write_sidecar(args.output, args, sigma_sq=report.sigma_sq,
-                   empirical_violation_rate=report.empirical_violation_rate,
-                   exact_violation_rate=report.exact_violation_rate,
-                   mc_stderr=report.mc_stderr, undercalibrated=report.undercalibrated,
-                   **{"pass": report.passed})
+    fields = asdict(report)
+    fields["pass"] = fields.pop("passed")
+    _write_sidecar(args.output, args, **fields)
     verdict = "pass" if report.passed else "FAIL"
     print(f"audit {verdict}: rate={format_float(report.empirical_violation_rate)} "
           f"vs delta={format_float(report.delta)}")

@@ -9,7 +9,9 @@ Curve CSVs are parsed by numpy's C reader (``np.loadtxt``), which converts
 each field with ``PyOS_string_to_double``, the same correctly rounded
 conversion as ``float()``.  Blank lines, CRLF line endings and spaces around
 a field are accepted; unlike ``float()``, the reader refuses underscore digit
-separators such as ``1_0``.
+separators such as ``1_0``.  Fields that parse to a non-finite value (``nan``,
+``inf``, ``-inf``, or a number past the float range) are refused too, with
+their line and field, as the writer never writes them.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def read_curves_csv(path) -> tuple[Grid, np.ndarray]:
             index, field = next((k, f) for k, f in enumerate(fields, start=1) if not _parses(f))
             reason = f"field {index} is not a number: {field.strip()!r}"
         raise CsvFormatError(f"{path}: line {at[0]}: {reason}") from exc
+    if not np.isfinite(rows).all():
+        row, col = np.argwhere(~np.isfinite(rows))[0]  # row-major: the first in file order
+        number, text = lines[row]
+        raise CsvFormatError(f"{path}: line {number}: field {col + 1} is not finite: "
+                             f"{text.split(',')[col].strip()!r}")
     try:
         grid = grid_from_points(rows[0])
     except ValueError as exc:

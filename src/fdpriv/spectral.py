@@ -9,10 +9,10 @@ is the quantity that controls how much Gaussian noise a release needs.
 
 ``kernel_basis`` is the one constructor of such a basis from a kernel.  It
 takes one of three routes to the eigenpairs, tried in this order.  Each
-route returns plain arrays, every eigenvalue it found in ascending order
-and the matching unit eigenvectors of S as columns, and ``kernel_basis``
-alone applies the truncation and sign rules to them.  Only the dense
-routes (split and full) form the M x M Gram matrix.
+route returns plain arrays, every eigenvalue it found in the order it found
+them and the matching unit eigenvectors of S as columns; ``kernel_basis``
+alone orders, truncates and signs them.  Only the dense routes (split and
+full) form the M x M Gram matrix.
 
 * Low rank.  Smooth kernels keep few modes whatever the grid size: the
   Gaussian keeps 111 at rho = 0.001 and 39 at rho = 0.01.  On grids of at
@@ -39,7 +39,8 @@ routes (split and full) form the M x M Gram matrix.
   ||S - J S J||_F <= M * eps * ||S||_F, a difference below eigh's own
   backward error, the centrosymmetric part (S + J S J) / 2 splits into two
   half-size symmetric problems, one for the eigenvectors even under J and
-  one for the odd ones, which are then assembled at full size.
+  one for the odd ones, which are then assembled at full size, even block
+  first.
 * Full.  Every other grid (irregular grids read from CSV) takes one
   full-size eigh.
 
@@ -131,7 +132,8 @@ def kernel_basis(
         raise ValueError("truncation tol must lie in (0, 1)")
     sqrt_w = np.sqrt(grid.weights)
     evals, vectors = _low_rank_eigh(spec, grid, sqrt_w, tol) or _dense_eigh(spec, grid, sqrt_w)
-    kept = np.nonzero(evals > tol * evals[-1])[0][::-1]  # descending order
+    order = np.argsort(evals, kind="stable")[::-1]  # descending; ties in reverse route order
+    kept = order[evals[order] > tol * evals[order[0]]]
     funcs = np.take(vectors, kept, axis=1) / sqrt_w[:, None]  # C order, unlike vectors[:, kept]
     mags = np.abs(funcs)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)  # first True per column
@@ -235,8 +237,9 @@ def _split_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the last component of an even-block eigenvector is the middle entry of
     the full one.
 
-    Returns all eigenvalues in ascending order and the full-length unit
-    eigenvectors as the columns of an M x M matrix, in that order.
+    Returns the even block's eigenvalues, then the odd block's, each in the
+    order eigh found them, and the full-length unit eigenvectors as the
+    columns of an M x M matrix, in that order.
     """
     m = sym.shape[0]
     h = m // 2
@@ -248,15 +251,12 @@ def _split_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         even = np.block([[even, edge[:, None]], [edge[None, :], sym[h, h]]])
     even_vals, even_vecs = np.linalg.eigh(even)
     odd_vals, odd_vecs = np.linalg.eigh(a - bj)
-    evals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(evals, kind="stable")
-    is_even = order < even_vals.size
-    vectors = np.zeros((m, m))  # even columns fill rows 0..h-1, then the middle row for odd M
-    vectors[: m - h, is_even] = even_vecs[:, order[is_even]]
-    vectors[:h, ~is_even] = odd_vecs[:, order[~is_even] - even_vals.size]
+    vectors = np.zeros((m, m))  # the m - h even columns first; for odd M they fill row h too
+    vectors[: m - h, : m - h] = even_vecs
+    vectors[:h, m - h :] = odd_vecs
     vectors[:h] *= math.sqrt(0.5)
-    vectors[m - h :] = (np.where(is_even, 1.0, -1.0) * vectors[:h])[::-1]
-    return evals[order], vectors
+    vectors[m - h :] = (vectors[:h] * np.repeat([1.0, -1.0], [m - h, h]))[::-1]
+    return np.concatenate([even_vals, odd_vals]), vectors
 
 
 def coefficients(x: Curve, basis: SpectralBasis) -> np.ndarray:

@@ -12,19 +12,22 @@ import pytest
 
 import fdpriv.cli
 from fdpriv import (
+    AuditReport,
+    Curve,
     KernelSpec,
     PrivacyBudget,
     ReleaseMeta,
     SampleSet,
     SelectionGrid,
     default_mean,
+    dp_audit,
     kernel_basis,
     pcv_select,
     reconstruct,
     uniform_grid,
 )
 from fdpriv.cli import build_parser, main
-from fdpriv.io import read_curves_csv, read_meta, write_curves_csv
+from fdpriv.io import _format_cell, read_curves_csv, read_meta, write_curves_csv
 
 
 def run(*argv) -> int:
@@ -721,6 +724,19 @@ def test_sidecar_keys_are_the_options_read_and_the_outputs(tmp_path, name):
     sidecar = out if name in ("audit", "cv", "pcv") else Path(f"{out}.meta")
     expected = {"command", "tol"} | set(_option_dests(name)) | SIDECAR_OUTPUTS[name]
     assert set(read_meta(sidecar)) == expected
+
+
+def test_audit_sidecar_holds_every_audit_report_field(tmp_path):
+    out = tmp_path / "audit.out"
+    assert run(*_small_runs(tmp_path)["audit"], "--output", str(out)) == 0
+    grid, values = read_curves_csv(tmp_path / "theta.csv")
+    basis = kernel_basis(KernelSpec("gaussian", 0.05), grid)
+    report = dp_audit(Curve(values[0], grid), Curve(-values[0], grid), basis,
+                      PrivacyBudget(1.0, 0.1), None, 10000, 3)
+    meta = read_meta(out)
+    for field in dataclasses.fields(AuditReport):
+        key = "pass" if field.name == "passed" else field.name
+        assert meta[key] == _format_cell(getattr(report, field.name))
 
 
 @pytest.mark.parametrize(

@@ -114,9 +114,12 @@ def test_read_curves_csv_accepts_crlf_blank_lines_and_spaces_around_fields(tmp_p
         ("0.0,0.5,1.0\n\n1,2, \r\n", 3, "field 3 is not a number: ''"),
         ("0.0,oops,1.0\n1,2,3\n", 1, "field 2 is not a number: 'oops'"),
         ("\n \n0.5,0.0,1.0\n1,2,3\n", 3, "strictly increasing"),
+        ("0.0,0.5,1.0\n1,2,3\n\n  \n4,nan,6\n", 5, "field 2 is not finite: 'nan'"),
+        ("0.0,0.5,1.0\r\n1,2,3\r\n4,5, -inf \r\n", 3, "field 3 is not finite: '-inf'"),
+        ("0.0,inf,1.0\n1,2,3\n", 1, "field 2 is not finite: 'inf'"),
     ],
     ids=["bad-cell", "short-row-after-blanks", "long-row-crlf", "underscore", "blank-last-field",
-         "grid-row", "grid-after-blanks"],
+         "grid-row", "grid-after-blanks", "nan-after-blanks", "minus-inf-crlf", "inf-grid-row"],
 )
 def test_read_curves_csv_names_the_exact_line(tmp_path, text, line, reason):
     path = tmp_path / "bad.csv"

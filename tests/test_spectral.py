@@ -353,6 +353,28 @@ def test_low_rank_route_that_reaches_its_rank_budget_gives_the_dense_basis(monke
     assert np.array_equal(basis.matrix, dense.matrix)
 
 
+def test_low_rank_route_whose_cholesky_qr_fails_gives_the_dense_basis(monkeypatch):
+    # Gaussian rho = 0.001 takes the low-rank route at M = 1000; a failing
+    # Cholesky QR of its factor sends it back to the dense route.
+    spec, grid = KernelSpec("gaussian", 0.001), uniform_grid(1000)
+    low_rank = kernel_basis(spec, grid)
+    calls = []
+
+    def failing_cholesky(matrix):
+        calls.append(matrix.shape)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    fallback = kernel_basis(spec, grid)
+    monkeypatch.undo()
+    assert len(calls) == 1  # the first of its two passes
+    switch_off_low_rank_route(monkeypatch)
+    dense = kernel_basis(spec, grid)
+    assert np.array_equal(fallback.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(fallback.matrix, dense.matrix)
+    assert not np.array_equal(fallback.matrix, low_rank.matrix)
+
+
 @pytest.mark.parametrize("grid", [uniform_grid(100), jittered_grid(100), uniform_grid(1000)],
                          ids=["split", "full", "low-rank"])
 def test_kernel_basis_matrix_is_c_ordered_on_every_route(grid):
