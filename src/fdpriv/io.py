@@ -10,13 +10,16 @@ each field with ``PyOS_string_to_double``, the same correctly rounded
 conversion as ``float()``.  Blank lines, CRLF line endings and spaces around
 a field are accepted; unlike ``float()``, the reader refuses underscore digit
 separators such as ``1_0``.  Fields that parse to a non-finite value (``nan``,
-``inf``, ``-inf``, or a number past the float range) are refused too, with
-their line and field, as the writer never writes them.
+``inf``, ``-inf``, or a number past the float range), which the writer never
+writes, are refused too with their line and field, and non-UTF-8 text with
+its line.  Writer and reader hold one line of text, never the whole file.
 """
 
 from __future__ import annotations
 
 import os
+import re
+from itertools import chain, islice
 from typing import Mapping
 
 import numpy as np
@@ -52,8 +55,8 @@ def write_curves_csv(path, grid: Grid, rows) -> None:
         raise ValueError("curve rows do not match the grid size")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # repr of a Python float is format_float's string; tolist() gives Python floats
-        for row in [grid.points.tolist(), *rows.tolist()]:
-            fh.write(",".join(map(repr, row)) + "\n")
+        for row in chain([grid.points], rows):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_curves_csv(path) -> tuple[Grid, np.ndarray]:
@@ -62,36 +65,48 @@ def read_curves_csv(path) -> tuple[Grid, np.ndarray]:
     Grid weights are reconstructed from the points: uniform for equispaced
     grids, trapezoid otherwise.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, text) for n, text in enumerate(fh, start=1) if text.strip()]
-    if len(lines) < 2:  # also spares np.loadtxt an empty input, on which it warns
-        raise CsvFormatError(f"{path}: need a grid row and at least one curve row")
     at = [0, ""]  # number and text of the line the parser was last handed
 
-    def fed():
+    def fed(lines):
         for at[0], at[1] in lines:
             yield at[1]
 
     try:
-        rows = np.loadtxt(fed(), delimiter=",", comments=None, ndmin=2)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _numbered_lines(fh)
+            head = list(islice(lines, 2))  # the grid row, and what tells a curve row is there
+            if len(head) == 2:  # else the refusal below; np.loadtxt warns on an empty input
+                rows = np.loadtxt(fed(chain(head, lines)), delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError as exc:  # a ValueError, raised by whichever read meets the byte
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:  # bytes to U+DCxx
+            escaped = (n for n, text in _numbered_lines(fh) if re.search("[\udc80-\udcff]", text))
+            raise CsvFormatError(f"{path}: line {next(escaped)}: not UTF-8 text") from exc
     except ValueError as exc:
-        fields, expected = at[1].split(","), lines[0][1].count(",") + 1
+        fields, expected = at[1].split(","), head[0][1].count(",") + 1
         if len(fields) != expected:
             reason = f"expected {expected} values, got {len(fields)}"
         else:
             index, field = next((k, f) for k, f in enumerate(fields, start=1) if not _parses(f))
             reason = f"field {index} is not a number: {field.strip()!r}"
         raise CsvFormatError(f"{path}: line {at[0]}: {reason}") from exc
+    if len(head) < 2:
+        raise CsvFormatError(f"{path}: need a grid row and at least one curve row")
     if not np.isfinite(rows).all():
         row, col = np.argwhere(~np.isfinite(rows))[0]  # row-major: the first in file order
-        number, text = lines[row]
+        with open(path, "r", encoding="utf-8") as fh:
+            number, text = next(islice(_numbered_lines(fh), row, None))
         raise CsvFormatError(f"{path}: line {number}: field {col + 1} is not finite: "
                              f"{text.split(',')[col].strip()!r}")
     try:
         grid = grid_from_points(rows[0])
     except ValueError as exc:
-        raise CsvFormatError(f"{path}: line {lines[0][0]}: {exc}") from exc
+        raise CsvFormatError(f"{path}: line {head[0][0]}: {exc}") from exc
     return grid, rows[1:]
+
+
+def _numbered_lines(fh):
+    """Number and text of each non-blank line of an open text file, read as needed."""
+    return ((n, text) for n, text in enumerate(fh, start=1) if text.strip())
 
 
 def _parses(field: str) -> bool:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,9 +118,14 @@ def test_read_curves_csv_accepts_crlf_blank_lines_and_spaces_around_fields(tmp_p
         ("0.0,0.5,1.0\n1,2,3\n\n  \n4,nan,6\n", 5, "field 2 is not finite: 'nan'"),
         ("0.0,0.5,1.0\r\n1,2,3\r\n4,5, -inf \r\n", 3, "field 3 is not finite: '-inf'"),
         ("0.0,inf,1.0\n1,2,3\n", 1, "field 2 is not finite: 'inf'"),
+        ("0.0,0.5,1.0\n" + "1,2,3\n" * 20000 + "4,x,6\n", 20002,
+         "field 2 is not a number: 'x'"),
+        ("0.0,0.5,1.0\n" + "1,2,3\n" * 20000 + "4,nan,6\n", 20002,
+         "field 2 is not finite: 'nan'"),
     ],
     ids=["bad-cell", "short-row-after-blanks", "long-row-crlf", "underscore", "blank-last-field",
-         "grid-row", "grid-after-blanks", "nan-after-blanks", "minus-inf-crlf", "inf-grid-row"],
+         "grid-row", "grid-after-blanks", "nan-after-blanks", "minus-inf-crlf", "inf-grid-row",
+         "bad-cell-past-64k", "nan-past-64k"],
 )
 def test_read_curves_csv_names_the_exact_line(tmp_path, text, line, reason):
     path = tmp_path / "bad.csv"
@@ -129,6 +135,50 @@ def test_read_curves_csv_names_the_exact_line(tmp_path, text, line, reason):
     assert f": line {line}: " in str(info.value)
     assert reason in str(info.value)
     assert "row" not in str(info.value).replace(str(path), "")  # numpy's own wording
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (b"0.0,0.5,1.0\n1,2,3\n\xff4,5,6\n", 3),
+        (b"0.0,0.5,1.0\n" + b"1,2,3\n" * 20000 + b"4,5,\xff6\n7,8,9\n", 20002),
+    ],
+    ids=["line-3", "past-64k"],
+)
+def test_read_curves_csv_refuses_bytes_that_are_not_utf8(tmp_path, raw, line):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    with pytest.raises(CsvFormatError) as info:
+        read_curves_csv(path)
+    assert str(info.value) == f"{path}: line {line}: not UTF-8 text"
+
+
+def test_read_curves_csv_reads_a_long_crlf_file_with_blank_lines_bit_for_bit(tmp_path):
+    grid = uniform_grid(50)
+    rows = np.random.default_rng(5).normal(size=(300, 50))
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, grid, rows)
+    loose = path.read_bytes().replace(b"\n", b"\r\n\r\n \t \r\n")
+    assert len(loose) > 64 * 1024
+    path.write_bytes(loose)
+    grid2, rows2 = read_curves_csv(path)
+    assert np.array_equal(grid2.points.view(np.uint64), grid.points.view(np.uint64))
+    assert np.array_equal(rows2.view(np.uint64), rows.view(np.uint64))
+
+
+def test_curve_csv_writer_and_reader_hold_one_array(tmp_path):
+    grid = uniform_grid(1000)
+    rows = np.random.default_rng(6).normal(size=(400, 1000))
+    path = tmp_path / "curves.csv"
+    peaks = []
+    for call in (lambda: write_curves_csv(path, grid, rows), lambda: read_curves_csv(path)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.5 * rows.nbytes, [peak / rows.nbytes for peak in peaks]
 
 
 def test_read_curves_csv_reads_edge_floats_back_bit_for_bit(tmp_path):
