@@ -215,7 +215,8 @@ def cmd_audit(args) -> None:
     fields["pass"] = fields.pop("passed")
     _write_sidecar(args.output, args, **fields)
     verdict = "pass" if report.passed else "FAIL"
-    print(f"audit {verdict}: rate={format_float(report.empirical_violation_rate)} "
+    print(f"audit {verdict}: exact={format_float(report.exact_violation_rate)} "
+          f"(Monte Carlo {format_float(report.empirical_violation_rate)}) "
           f"vs delta={format_float(report.delta)}")
 
 
@@ -290,7 +291,7 @@ _COMMANDS = {
     "projections": (cmd_projections, "sanitized point evaluations",
                     "--input --tau --kernel --rho --phi --eta --epsilon --delta --method"
                     " --at --seed --output"),
-    "audit": (cmd_audit, "Monte-Carlo audit of an adjacent summary pair",
+    "audit": (cmd_audit, "exact privacy-loss tail of a summary pair against delta",
               "--theta-d --theta-dp --kernel --rho --epsilon --delta --sigma-sq --samples"
               " --seed --output"),
     "cv": (cmd_cv, "cross-validate the kernel range at fixed phi",

@@ -10,15 +10,13 @@ distribution induced by one dataset, the log density ratio against an
 adjacent dataset may exceed epsilon with probability at most delta.  That
 ratio, the privacy loss, is exactly N(mu, 2 mu) with mu = D^2 / (2 sigma^2),
 D the pair's Cameron-Martin distance (Balle & Wang, ICML 2018); the auditor
-samples that law in one dimension, compares each standard normal with one
-precomputed cut that gives exactly the loss's float comparison with epsilon,
-and reports the law's exact tail beside the Monte-Carlo rate.
+passes when that law's exact tail above epsilon is at most delta, and
+reports beside it a Monte-Carlo rate from draws of the law in one dimension.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -62,22 +60,14 @@ class SanitizedRelease:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Empirical check of the (epsilon, delta) tail bound by Monte Carlo.
+    """Check of the (epsilon, delta) tail bound for one adjacent pair.
 
-    empirical_violation_rate is the share of n_samples privacy losses above
-    epsilon, drawn by ``dp_audit`` as mirrored pairs mu + t and mu - t and
-    counted by comparing each draw's standard normal with one cut, which
-    gives the same counts as comparing the float losses with epsilon.
-    exact_violation_rate is the tail those draws estimate: P(L > epsilon) for
-    the exact loss L ~ N(mu, 2 mu), 0.5 erfc((epsilon - mu) / (2 sqrt(mu))),
-    and 0.0 at mu = 0, where the loss is identically zero.
-    mc_stderr is sqrt(rate * (1 - rate) / n_samples), the standard error of
-    n_samples independent tail indicators, and an upper bound on the standard
-    error of the audit's mirrored pairs.  A pair scores the losses mu + t and
-    mu - t of one symmetric t.  If mu <= epsilon, both exceed epsilon only if
-    t > epsilon - mu >= 0 > mu - epsilon > t, so the two tail events are
-    disjoint (covariance -p^2); if mu > epsilon, their complements are
-    (covariance -(1 - p)^2).  The pair covariance is never positive.
+    exact_violation_rate is P(L > epsilon) for the exact privacy loss
+    L ~ N(mu, 2 mu), 0.5 erfc((epsilon - mu) / (2 sqrt(mu))), and 0.0 at
+    mu = 0, where the loss is identically zero; passed is whether it is at
+    most delta.  empirical_violation_rate is the share of n_samples losses
+    above epsilon, drawn by ``dp_audit`` as mirrored pairs mu + t and mu - t,
+    a Monte-Carlo estimate of that tail.
     """
 
     n_samples: int
@@ -85,7 +75,6 @@ class AuditReport:
     delta: float
     sigma_sq: float
     empirical_violation_rate: float
-    mc_stderr: float
     passed: bool
     undercalibrated: bool
     exact_violation_rate: float
@@ -144,33 +133,6 @@ def release_function(
     return SanitizedRelease(meta, released)
 
 
-def _float_at(rank: int) -> float:
-    """The float64 of this rank in the float order: 0.0 at 0, the k-th above (below) at k (-k)."""
-    bits = rank if rank >= 0 else -(1 << 63) - rank
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _loss_cut(mu: float, scale: float, epsilon: float) -> float:
-    """The largest float64 u at which mu + u * scale, in float arithmetic, is not above epsilon.
-
-    That test is monotone in u (``dp_audit`` shows why), so bisecting the
-    ranks of the float64 values finds u in at most 64 evaluations.  Python
-    float arithmetic rounds each product and sum as numpy's elementwise
-    multiply and add do; neither fuses them into an FMA.  The test is false at
-    -inf (-inf * scale is -inf, or NaN at scale = 0), where the bisection
-    starts; +inf stands in for the first u where it is true, so at scale = 0,
-    where it is false everywhere, u is the largest finite float.
-    """
-    lo, hi = -(0x7FF << 52), 0x7FF << 52  # the ranks of -inf and +inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mu + _float_at(mid) * scale > epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return _float_at(lo)
-
-
 def dp_audit(
     theta_d: Curve,
     theta_dp: Curve,
@@ -180,16 +142,17 @@ def dp_audit(
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> AuditReport:
-    """Monte-Carlo audit of the privacy tail bound for one adjacent pair.
+    """Audit of the privacy tail bound for one adjacent pair.
 
-    Draws privacy losses of releases centered at theta_d against theta_dp,
-    estimates how often they exceed epsilon, and passes when that rate stays
-    within delta plus three Monte-Carlo standard errors.  sigma_sq defaults
-    to the calibrated minimum for this pair, noise_scale(budget, D^2) with D
-    the pair's Cameron-Martin distance, and the report records the variance
-    audited.  A sigma_sq below that minimum is flagged as undercalibrated
-    (the audit still runs and is expected to fail).  The direction is the
-    argument order: pass the summaries swapped to audit the opposite
+    Passes when the exact probability that the privacy loss of releases
+    centered at theta_d against theta_dp exceeds epsilon is at most delta,
+    and reports a Monte-Carlo estimate of that tail beside it.  sigma_sq
+    defaults to the calibrated minimum for this pair, noise_scale(budget, D^2)
+    with D the pair's Cameron-Martin distance, and the report records the
+    variance audited.  A sigma_sq below that minimum is flagged as
+    undercalibrated; the audit still runs, and because that minimum is
+    conservative, a sigma_sq somewhat below it can still pass.  The direction
+    is the argument order: pass the summaries swapped to audit the opposite
     direction.
 
     At the default sigma_sq, mu is epsilon^2 / (4 ln(2/delta)) for every
@@ -204,19 +167,11 @@ def dp_audit(
     exact_violation_rate is the tail of that law.  t and -t are equally
     likely, so each draw is scored as the two losses mu + t and mu - t (the
     releases cd + z and cd - z), which halves the normals per sample and
-    keeps the rate unbiased (the AuditReport docstring shows why mc_stderr
-    stays an upper bound).  ceil(n_samples / 2) draws are made and the first
-    floor(n_samples / 2) are mirrored, so at odd n_samples an audit at
-    n_samples + 1 scores the same draws plus one mirror.
-
-    Neither loss is formed.  With s = sqrt(2 mu) and z the standard normal,
-    the loss mu + t exceeds epsilon in float arithmetic, fl(mu + fl(z s)) >
-    epsilon, exactly when z > u for one float u computed once per audit: the
-    test is monotone in z, because both roundings are.  IEEE rounding is
-    symmetric in sign and mu - x is exactly mu + (-x), so
-    fl(mu - fl(z s)) = fl(mu + fl((-z) s)) and the mirror exceeds epsilon
-    exactly when z < -u.  Each draw is therefore compared with the cut, and
-    the counts equal those of forming mu + t and mu - t.
+    keeps the rate unbiased.  ceil(n_samples / 2) draws are made and the
+    first floor(n_samples / 2) are mirrored, so at odd n_samples an audit at
+    n_samples + 1 scores the same draws plus one mirror.  Neither loss is
+    formed: with z the standard normal, mu + t exceeds epsilon when
+    z > (epsilon - mu) / sqrt(2 mu), and mu - t when z is below minus that cut.
 
     Identical summaries at a stated sigma_sq, or a D^2 / (2 sigma_sq) that
     underflows, give mu = 0: every loss is zero and both rates are 0.0.
@@ -254,23 +209,20 @@ def dp_audit(
     exact = 0.5 * math.erfc((budget.epsilon - mu) / (2.0 * math.sqrt(mu))) if mu > 0.0 else 0.0
 
     draws, mirrored = -(-n_samples // 2), n_samples // 2
-    cut = _loss_cut(mu, math.sqrt(2.0 * mu), budget.epsilon)
+    cut = (budget.epsilon - mu) / math.sqrt(2.0 * mu) if mu > 0.0 else math.inf
     rng = make_rng(seed)
     buf = np.empty(min(_AUDIT_BLOCK_VALUES, draws))
     total = 0
     for start in range(0, draws, buf.size):
         z = rng.standard_normal(out=buf[: draws - start])
         total += int(np.count_nonzero(z > cut) + np.count_nonzero(z[: mirrored - start] < -cut))
-    rate = total / n_samples
-    stderr = math.sqrt(rate * (1.0 - rate) / n_samples)
     return AuditReport(
         n_samples=n_samples,
         epsilon=budget.epsilon,
         delta=budget.delta,
         sigma_sq=sigma_sq,
-        empirical_violation_rate=rate,
-        mc_stderr=stderr,
-        passed=rate <= budget.delta + 3.0 * stderr,
+        empirical_violation_rate=total / n_samples,
+        passed=exact <= budget.delta,
         undercalibrated=undercalibrated,
         exact_violation_rate=exact,
     )

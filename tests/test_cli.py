@@ -329,14 +329,18 @@ def test_projections_refuse_a_point_off_the_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_audit_calibrated_pair_passes(tmp_path):
+def _audit_pair(tmp_path) -> tuple[Path, Path]:
+    """Files holding the summaries +-0.3 v_1 of the Gaussian rho = 0.05 basis on 30 points."""
     grid = uniform_grid(30)
     basis = kernel_basis(KernelSpec("gaussian", 0.05), grid)
-    theta_d = reconstruct(0.3 * np.eye(basis.m)[0], basis)
-    theta_dp = reconstruct(-0.3 * np.eye(basis.m)[0], basis)
     d_path, dp_path = tmp_path / "d.csv", tmp_path / "dp.csv"
-    write_curves_csv(d_path, grid, theta_d.values)
-    write_curves_csv(dp_path, grid, theta_dp.values)
+    for path, sign in ((d_path, 1.0), (dp_path, -1.0)):
+        write_curves_csv(path, grid, reconstruct(sign * 0.3 * np.eye(basis.m)[0], basis).values)
+    return d_path, dp_path
+
+
+def test_audit_calibrated_pair_passes(tmp_path):
+    d_path, dp_path = _audit_pair(tmp_path)
     report = tmp_path / "audit.txt"
     assert run("audit", "--theta-d", str(d_path), "--theta-dp", str(dp_path),
                "--kernel", "gaussian", "--rho", "0.05",
@@ -344,6 +348,22 @@ def test_audit_calibrated_pair_passes(tmp_path):
     meta = read_meta(report)
     assert meta["pass"] == "true"
     assert meta["undercalibrated"] == "false"
+
+
+def test_audit_verdict_is_the_exact_tail_at_small_delta(tmp_path):
+    # At delta = 1e-5, half the calibrated variance has an exact tail of about
+    # 40 delta, which leaves only a few of 10000 draws above epsilon.
+    d_path, dp_path = _audit_pair(tmp_path)
+    pair = ["audit", "--theta-d", str(d_path), "--theta-dp", str(dp_path), "--rho", "0.05",
+            "--delta", "0.00001", "--samples", "10000"]
+    calibrated, halved = tmp_path / "calibrated.txt", tmp_path / "halved.txt"
+    assert run(*pair, "--output", str(calibrated)) == 0
+    assert read_meta(calibrated)["pass"] == "true"
+    sigma_sq = float(read_meta(calibrated)["sigma_sq"]) / 2.0
+    assert run(*pair, "--sigma-sq", repr(sigma_sq), "--output", str(halved)) == 0
+    meta = read_meta(halved)
+    assert (meta["pass"], meta["undercalibrated"]) == ("false", "true")
+    assert float(meta["exact_violation_rate"]) > 10 * 1e-5
 
 
 @pytest.mark.parametrize("sigma_sq", ["nan", "inf"])
@@ -703,7 +723,7 @@ SIDECAR_OUTPUTS = {
     "smooth": {"n", "tau", "modes"},
     "release": RELEASE_META,
     "projections": RELEASE_META,
-    "audit": {"sigma_sq", "empirical_violation_rate", "exact_violation_rate", "mc_stderr", "pass",
+    "audit": {"sigma_sq", "empirical_violation_rate", "exact_violation_rate", "pass",
               "undercalibrated"},
     "cv": {"n", "scores", "selected_rho", "selected_score"},
     "pcv": {"n", "tau", "selected_phi", "selected_rho"},

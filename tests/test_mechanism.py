@@ -232,7 +232,7 @@ def test_dp_audit_calibrated_passes_and_undercalibrated_fails():
         sigma_sq = noise_scale(BUDGET, cm_norm_sq(cd - cdp, basis))
         good = dp_audit(theta_d, theta_dp, basis, BUDGET, sigma_sq, 100_000, seed=trial)
         assert good.passed and not good.undercalibrated
-        assert good.empirical_violation_rate <= good.delta + 3.0 * good.mc_stderr
+        assert good.exact_violation_rate <= good.delta
         bad = dp_audit(
             theta_d, theta_dp, basis, BUDGET, sigma_sq / 100.0, 100_000, seed=trial
         )
@@ -281,11 +281,7 @@ def test_dp_audit_report_invariants():
         reconstruct(cd, basis), reconstruct(cdp, basis), basis, BUDGET, sigma_sq,
         20_000, seed=8,
     )
-    rate = report.empirical_violation_rate
-    assert report.mc_stderr == pytest.approx(
-        math.sqrt(rate * (1 - rate) / report.n_samples), rel=1e-12, abs=1e-15
-    )
-    assert report.passed == (rate <= report.delta + 3.0 * report.mc_stderr)
+    assert report.passed == (report.exact_violation_rate <= report.delta)
 
 
 def test_dp_audit_swap_direction_runs():
@@ -486,33 +482,54 @@ _CUT_MUS = {
 @pytest.mark.parametrize("mu_at", _CUT_MUS.values(), ids=_CUT_MUS.keys())
 @pytest.mark.parametrize("epsilon", [0.01, 0.5, 1.0])
 def test_dp_audit_loss_cut_is_the_float_loss_comparison(epsilon, mu_at):
-    # The audit counts z > u and, for mirrors, z < -u instead of forming the
-    # losses mu + t and mu - t, t = z * scale, in float64 and comparing them
-    # with epsilon.  u must be the last float at which mu + t stays at or
-    # below epsilon in numpy's own arithmetic, and the counts must agree.
+    # The audit compares each standard normal z with the cut
+    # (epsilon - mu) / sqrt(2 mu) instead of forming the float losses mu + t
+    # and mu - t, t = z sqrt(2 mu), as the oracle does.  The two part only for
+    # a z within rounding of the cut, so at edge mu the counts must agree.
+    # mu is reached through sigma_sq = D^2 / (2 mu); mu = 0 through identical
+    # summaries, and a subnormal mu through a pair small enough that sigma_sq
+    # stays finite.
     mu = mu_at(epsilon)
-    scale = math.sqrt(2.0 * mu)
-    cut = mechanism._loss_cut(mu, scale, epsilon)
-
-    def exceeds(z):
-        t = np.array(z, dtype=float)
-        t *= scale
-        return mu + t > epsilon
-
-    if mu == 0.0:
-        assert cut == np.finfo(float).max
-        assert not exceeds([-np.finfo(float).max, cut]).any()
-    else:
-        assert exceeds([cut, math.nextafter(cut, math.inf)]).tolist() == [False, True]
+    basis = toy_basis()
+    cd = (1e-10 if mu < 1e-300 else 1.0) * np.array([0.4, 0.0, 0.0, 0.0, 0.0])
+    cdp = -cd if mu > 0.0 else cd
+    sigma_sq = cm_norm_sq(cd - cdp, basis) / (2.0 * mu) if mu > 0.0 else 1.0
+    budget = PrivacyBudget(epsilon, 0.1)
     for seed in range(3):
-        for n in (20_001, 20_000):
-            t = make_rng(seed).standard_normal(-(-n // 2))
-            z = t.copy()
-            t *= scale
-            mirrored = n // 2
-            formed = np.count_nonzero(mu + t > epsilon) + np.count_nonzero(
-                mu - t[:mirrored] > epsilon)
-            assert np.count_nonzero(z > cut) + np.count_nonzero(z[:mirrored] < -cut) == formed
+        for n in (20_000, 20_001):
+            report = dp_audit(reconstruct(cd, basis), reconstruct(cdp, basis), basis, budget,
+                              sigma_sq, n, seed)
+            expected = audit_violations_one_call(cd, cdp, basis.eigenvalues, sigma_sq,
+                                                 epsilon, n, seed)
+            assert report.empirical_violation_rate == expected / n
+
+
+@pytest.mark.parametrize("delta,n,multiple", [
+    (1e-5, 100_000, 5.0),
+    (1e-5, 100_000, 10.0),
+    (0.1, 10_000, 1.02),
+    (0.1, 10_000, 0.98),
+], ids=["delta1e-5-5x", "delta1e-5-10x", "delta0.1-1.02x", "delta0.1-0.98x"])
+def test_dp_audit_verdict_is_the_exact_tail_against_delta(delta, n, multiple):
+    # A tail a few times delta leaves only a handful of draws above epsilon,
+    # and a tail just past delta is within the draws' noise; the verdict reads
+    # the exact tail, so every seed fails a tail above delta and passes one
+    # below it.  sigma_sq is
+    # solved so that the loss N(mu, 2 mu) has the tail p = multiple * delta
+    # above epsilon: with q = Phi^-1(p), sqrt(mu) = (sqrt(2) q +
+    # sqrt(2 q^2 + 4 epsilon)) / 2.  Every tail here is above the calibrated
+    # one, so each pair is undercalibrated, also the one that passes.
+    budget = PrivacyBudget(1.0, delta)
+    basis = toy_basis()
+    cd = np.array([0.4, 0.0, 0.0, 0.0, 0.0])
+    q = norm.ppf(multiple * delta)
+    mu = ((math.sqrt(2.0) * q + math.sqrt(2.0 * q * q + 4.0 * budget.epsilon)) / 2.0) ** 2
+    sigma_sq = cm_norm_sq(2.0 * cd, basis) / (2.0 * mu)
+    for seed in range(20):
+        report = dp_audit(reconstruct(cd, basis), reconstruct(-cd, basis), basis, budget,
+                          sigma_sq, n, seed)
+        assert report.exact_violation_rate == pytest.approx(multiple * delta, rel=1e-9)
+        assert report.passed == (multiple <= 1.0) and report.undercalibrated
 
 
 def test_dp_audit_loss_draw_is_the_release_noise_on_the_loss_line():
