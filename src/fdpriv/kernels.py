@@ -12,6 +12,7 @@ KERNEL_FAMILIES = ("gaussian", "matern52", "matern32", "exponential")
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+_NORM_BLOCK_VALUES = 1 << 16  # values Grid.norm_sq squares at once
 
 
 def _to_float(value, name: str) -> float:
@@ -94,9 +95,19 @@ class Grid:
         return self.points.size
 
     def norm_sq(self, values) -> np.ndarray | float:
-        """Squared weighted L2 norm sum(w_k * x_k^2) along the last axis; inf if it overflows."""
+        """Squared weighted L2 norm sum(w_k * x_k^2) along the last axis; inf if it overflows.
+
+        An array of curves is reduced a block of leading rows at a time by the
+        same expression, so each norm is the same bit for bit and the
+        temporaries are one block's size, not the array's.
+        """
+        values = np.asarray(values)
         with np.errstate(over="ignore"):
-            return np.sum(self.weights * values**2, axis=-1)
+            if values.ndim < 2 or values.size <= _NORM_BLOCK_VALUES:
+                return np.sum(self.weights * values**2, axis=-1)
+            step = max(1, _NORM_BLOCK_VALUES * len(values) // values.size)
+            return np.concatenate([np.sum(self.weights * values[start:start + step]**2, axis=-1)
+                                   for start in range(0, len(values), step)])
 
     def matches(self, other: "Grid") -> bool:
         """True when both grids discretize the same abscissae."""

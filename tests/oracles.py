@@ -4,7 +4,9 @@ Besides the dense-solve smoother oracle, this module holds the formulas that
 only the tests need: the closed-form sensitivity maximizer, the dual Gram
 matrix of a batch of functionals and its quadratic form, the hashed
 substream seeds of the Monte-Carlo acceptance studies, a one-call replay
-of the privacy audit, and the coefficient-space (P)CV score.
+of the privacy audit, the coefficient-space (P)CV score, and the curve CSV
+text as ``format_float`` joins it, with the doubles that test the writer's
+digits against it.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ from fdpriv import (
     noise_energy,
     shrinkage_factors,
 )
+from fdpriv.io import format_float
 from fdpriv.rng import make_rng
 
 _MASK64 = (1 << 64) - 1
@@ -198,3 +201,49 @@ def pcv_score_coefficient_space(
             err += noise_energy(basis, calibrate(basis, phi, eta, bound, n, budget).sigma_sq)
         total += err
     return total / folds
+
+
+def curve_csv_text(points, rows) -> bytes:
+    """Curve CSV bytes joined value by value: ``format_float`` of each, one line per row."""
+    lines = [np.asarray(points, dtype=float).tolist(), *np.asarray(rows, dtype=float).tolist()]
+    return "".join(",".join(map(format_float, line)) + "\n" for line in lines).encode("utf-8")
+
+
+def float_text_cases(rng, n_random: int, n_mantissas: int) -> dict[str, np.ndarray]:
+    """Finite doubles that probe shortest round-trip formatting, by family.
+
+    ``n_random`` random bit patterns (the non-finite ones dropped), and at
+    every biased exponent 0-2046 ``n_mantissas`` random mantissas plus 0, 1
+    and 2^52 - 1, in both signs.  With ``n_mantissas`` > 0 also: the first
+    1e5 subnormals, powers of 2 and 10 with their float neighbours, short
+    decimals at every scale, integers up to 2^53 and across 1e16-1e17, and
+    the values on either side of repr's switch to exponent form.
+    """
+    bits = rng.integers(0, 2**64, n_random, dtype=np.uint64, endpoint=False).view(np.float64)
+    exponents = np.arange(2047, dtype=np.uint64)[:, np.newaxis] << np.uint64(52)
+    mantissas = np.concatenate([rng.integers(0, 2**52, (2047, n_mantissas), dtype=np.uint64),
+                                np.tile(np.array([0, 1, 2**52 - 1], np.uint64), (2047, 1))], axis=1)
+    patterns = (exponents | mantissas).ravel()
+    cases = {
+        "random bits": bits[np.isfinite(bits)],
+        "every exponent": np.concatenate([patterns, patterns | np.uint64(1 << 63)]).view(float),
+    }
+    if n_mantissas:
+        powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                                 [float(f"1e{j}") for j in range(-323, 309)]])
+        cases["subnormals"] = np.arange(1, 100001, dtype=np.uint64).view(np.float64)
+        cases["powers"] = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                          np.nextafter(powers, np.inf)])
+        short = np.array([float(f"{m}e{j}") for j in range(-324, 309)
+                          for m in (1, 2, 5, 12, 125, 999, 1234567)])
+        cases["short decimals"] = short[np.isfinite(short)]
+        cases["integers"] = np.concatenate([
+            rng.integers(0, 2**53, 20000, endpoint=True).astype(float),
+            np.arange(0.0, 20000.0),
+            rng.integers(10**16, 10**17, 20000, endpoint=True).astype(float),
+        ])
+        cases["fixed or exponent"] = np.array([
+            -0.0, 0.0, 5e-324, 123.0, 1e-05, 9.999999999999999e-05, 0.0001, 0.00012345678901234567,
+            9999999999999998.0, 1e16, 1.2345678901234567e16, 0.1 + 0.2, 2.0**50 + 0.25,
+        ])
+    return cases

@@ -6,6 +6,7 @@ import pytest
 
 from fdpriv import uniform_grid
 from fdpriv.io import (
+    _BLOCK_VALUES,
     CsvFormatError,
     format_float,
     read_curves_csv,
@@ -13,6 +14,7 @@ from fdpriv.io import (
     write_curves_csv,
     write_meta,
 )
+from oracles import curve_csv_text, float_text_cases
 
 
 def test_format_float_round_trips():
@@ -43,15 +45,20 @@ def test_curve_csv_bytes_are_format_float_joins(tmp_path):
     edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1.7976931348623157e308,
             3.0, -42.0, 1e16, 0.1 + 0.2, 1e-5, 123456789.125]
     rng = np.random.default_rng(4)
-    for grid, rows in [
+    inputs = [
         (uniform_grid(len(edge)), np.array([edge, edge[::-1]])),
         (uniform_grid(9), rng.normal(scale=1e3, size=(6, 9)) * rng.uniform(size=(6, 9)) ** 40),
-    ]:
+        # rows longer than a block, and a last block shorter than the others
+        (uniform_grid(_BLOCK_VALUES + 3), rng.normal(size=(2, _BLOCK_VALUES + 3))),
+        (uniform_grid(1000), rng.normal(size=(2 * (_BLOCK_VALUES // 1000) + 3, 1000))),
+    ]
+    for values in float_text_cases(rng, n_random=200_000, n_mantissas=4).values():
+        rows = np.concatenate([values, np.zeros(-values.size % 1000)]).reshape(-1, 1000)
+        inputs.append((uniform_grid(1000), rows))
+    for grid, rows in inputs:
         path = tmp_path / "curves.csv"
         write_curves_csv(path, grid, rows)
-        lines = [grid.points, *rows]
-        expected = "".join(",".join(format_float(v) for v in line) + "\n" for line in lines)
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes() == curve_csv_text(grid.points, rows)
 
 
 @pytest.mark.parametrize("width", [9, 11])

@@ -76,6 +76,20 @@ def test_norm_sq_past_the_float_range_is_inf_without_a_warning():
     assert small == pytest.approx(1.0) and large == math.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(250, 1000), (7, 3), (40, 20, 100), (3, 70000)],
+                         ids=["rows", "small", "stacked", "rows-over-a-block"])
+def test_norm_sq_by_blocks_of_rows_is_the_whole_array_expression_bit_for_bit(shape):
+    grid = uniform_grid(shape[-1])
+    values = np.random.default_rng(11).normal(size=shape)
+    values[-1, ...] *= 1e160  # the last row's squares overflow, in the last block
+    with np.errstate(over="ignore"):
+        expected = np.sum(grid.weights * values**2, axis=-1)
+    got = grid.norm_sq(values)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "points,weights",
     [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,19 @@ def test_sample_set_mean_is_computed_once_and_read_only():
     # a subset has its own mean, not its parent's
     part = data.subset([0, 5, 7])
     assert part.mean.values.tobytes() == data.values[[0, 5, 7]].mean(axis=0).tobytes()
+
+
+def test_sample_set_holds_one_copy_of_its_values():
+    grid = uniform_grid(1000)
+    values = np.random.default_rng(9).normal(size=(400, 1000))
+    tracemalloc.start()
+    try:
+        data = SampleSet.from_values(values, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values.nbytes, peak / values.nbytes
+    assert data.tau == float(np.sqrt(np.sum(grid.weights * values**2, axis=-1)).max())
 
 
 @pytest.mark.parametrize("spec", [None, KernelSpec("gaussian", 0.01), KernelSpec("matern52", 0.1)],
